@@ -930,7 +930,7 @@ let bechamel () =
   let checksum_test =
     let blocks = List.init 16 (fun i -> Bytes.make 4096 (Char.chr (i + 65))) in
     Test.make ~name:"log checksum 16 blocks" (Staged.stage (fun () ->
-        ignore (Xv6fs.Layout.checksum_blocks blocks)))
+        ignore (Util.Fnv64.checksum_blocks blocks)))
   in
   let proto_test =
     let req = Fusesim.Proto.Write { ino = 42; off = 123456; data = Bytes.make 4096 'x' } in

@@ -169,16 +169,14 @@ let vfs_ops ?(wb_batch = wb_batch_pages) (h : handle) : Kernel.Vfs.fs_ops =
             match Array.length pages with
             | 0 -> Ok ()
             | n ->
-                let first_index = fst pages.(0) in
-                let buf = Bytes.create (n * psz) in
-                Array.iteri
-                  (fun i (_, data) -> Bytes.blit data 0 buf (i * psz) psz)
-                  pages;
-                let off = first_index * psz in
-                let len = min (Bytes.length buf) (max 0 (isize - off)) in
+                let off = fst pages.(0) * psz in
+                let len = min (n * psz) (max 0 (isize - off)) in
                 if len = 0 then Ok ()
                 else
-                  let* _ = d.Fs_api.d_write ~ino ~off (Bytes.sub buf 0 len) in
+                  let* _ =
+                    d.Fs_api.d_write ~ino ~off
+                      (Kernel.Vfs.gather_pages pages ~first:0 ~len)
+                  in
                   Ok ()));
     truncate =
       (fun ~ino size ->

@@ -108,7 +108,7 @@ let notify t cmd =
 (* Everything stored in [stable] is replace-only (writers always install a
    fresh copy), so a shallow copy of the array is a faithful snapshot of
    what an immediate power failure would leave behind. Callers must treat
-   the payloads as read-only. *)
+   the payloads as read-only, as they must the blocks a read returns. *)
 let crash_view t = Array.copy t.stable
 
 let block_size t = t.block_size
@@ -149,13 +149,16 @@ let channel_io t dur =
       Sim.Profile.with_frame t.profile "device-io" (fun () ->
           Sim.Resource.busy_sleep t.channels dur))
 
-(* Fetch current durable-or-volatile contents of [block] as a fresh copy. *)
-let peek t block =
+(* The stored durable-or-volatile contents of [block], shared rather than
+   copied: every stored block is immutable (writers install a fresh copy),
+   so a read can hand it out as a read-only view. A block never written
+   reads as a fresh zero block. *)
+let stored t block =
   match Hashtbl.find_opt t.volatile block with
-  | Some b -> Bytes.copy b
+  | Some b -> b
   | None -> (
       match t.stable.(block) with
-      | Some b -> Bytes.copy b
+      | Some b -> b
       | None -> Bytes.make t.block_size '\000')
 
 (* One read command covering [count] consecutive blocks (fiber-blocking). *)
@@ -173,7 +176,7 @@ let read_cmd t ~start ~count =
     (Int64.sub (Sim.Engine.now t.engine) t0);
   Sim.Trace.span_end t.tracer ~cat:"device" "ssd:read";
   if t.failed then raise Device_failed;
-  let result = Array.init count (fun i -> peek t (start + i)) in
+  let result = Array.init count (fun i -> stored t (start + i)) in
   notify t Cmd_read;
   result
 
@@ -375,7 +378,7 @@ let fail t = t.failed <- true
 module Offline = struct
   let read t block =
     check t block;
-    peek t block
+    Bytes.copy (stored t block)
 
   let write t block data =
     check t block;

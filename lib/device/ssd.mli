@@ -6,7 +6,20 @@
     per-command latency floors (batching wins), channel parallelism
     (threads win), flush cost growing with dirty data (fsync-bound
     workloads), and loss of unflushed writes on power failure (crash
-    recovery testing, including partial survival). *)
+    recovery testing, including partial survival).
+
+    {b Block ownership.} A stored block is immutable: a write copies the
+    caller's payload into a fresh block when the command completes, and
+    later writes replace that block rather than change it. Reads, FLUSH,
+    cache drains and crashes move these blocks by reference. A read
+    therefore returns the stored block itself, a read-only view that no
+    later write, flush or crash of the same block changes; callers must
+    never mutate it, and copy it where they need a private buffer (the
+    buffer caches blit it into their own payloads). {!Offline.read} and
+    {!Offline.stable_read} still return private copies. The copies that
+    remain on the device side are the one per written block at command
+    completion and the zero block made for a read of a block never
+    written. *)
 
 type config = {
   read_base : int64;  (** per-command read latency floor (ns) *)
@@ -66,9 +79,9 @@ val submit_write : t -> start:int -> Bytes.t array -> completion
     must not mutate the buffers until the command completes. *)
 
 val await : completion -> Bytes.t array
-(** Block until the command completes; returns the blocks read ([[||]] for
-    writes) or re-raises the command's failure. May be called any number
-    of times (idempotent once complete). *)
+(** Block until the command completes; returns the blocks read (read-only
+    views; [[||]] for writes) or re-raises the command's failure. May be
+    called any number of times (idempotent once complete). *)
 
 val is_complete : completion -> bool
 
@@ -78,6 +91,7 @@ val read_contig : t -> start:int -> count:int -> Bytes.t array
     {!submit_read} + {!await}). *)
 
 val read : t -> int -> Bytes.t
+(** One single-block read command; the result is a read-only view. *)
 
 val write_contig : t -> start:int -> Bytes.t array -> unit
 (** One command writing consecutive blocks into the volatile cache
@@ -127,11 +141,12 @@ val fail : t -> unit
 (** Non-timed access for offline tools (mkfs inspection, fsck, tests). *)
 module Offline : sig
   val read : t -> int -> Bytes.t
-  (** Current contents: volatile cache if present, else stable. *)
+  (** Current contents: volatile cache if present, else stable. A private
+      copy. *)
 
   val write : t -> int -> Bytes.t -> unit
   (** Write straight to stable storage (image surgery in tests). *)
 
   val stable_read : t -> int -> Bytes.t
-  (** Only what would survive a crash right now. *)
+  (** Only what would survive a crash right now. A private copy. *)
 end

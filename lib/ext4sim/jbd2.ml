@@ -162,7 +162,7 @@ let commit_locked t =
     Sim.Sync.Mutex.unlock t.lock;
     Kernel.Machine.with_layer t.machine "log" @@ fun () ->
     (* the first descriptor carries the checksum over ALL data blocks *)
-    let checksum = Layout4.checksum_blocks datas in
+    let checksum = Util.Fnv64.checksum_blocks datas in
     let bufs = ref [] in
     let pos = ref base in
     let rec emit_chunks chunk_idx order datas =
@@ -396,7 +396,7 @@ let recover t =
                     | Some cseq
                       when cseq = dseq
                            && Int64.equal
-                                (Layout4.checksum_blocks acc_datas)
+                                (Util.Fnv64.checksum_blocks acc_datas)
                                 checksum0 ->
                         Some (cseq, acc_targets, acc_datas, off + 1)
                     | _ -> None))

@@ -145,19 +145,14 @@ let vfs_ops (t : t) ~max_file_size : Kernel.Vfs.fs_ops =
             if i >= n then Ok ()
             else begin
               let chunk = min max_write_pages (n - i) in
-              let first_index = fst pages.(i) in
-              let buf = Bytes.create (chunk * t.page_size) in
-              for j = 0 to chunk - 1 do
-                Bytes.blit (snd pages.(i + j)) 0 buf (j * t.page_size)
-                  t.page_size
-              done;
-              let off = first_index * t.page_size in
-              let len = min (Bytes.length buf) (max 0 (isize - off)) in
+              let off = fst pages.(i) * t.page_size in
+              let len = min (chunk * t.page_size) (max 0 (isize - off)) in
               if len = 0 then ship (i + chunk)
               else
                 match
                   Transport.call t.transport
-                    (Proto.Write { ino; off; data = Bytes.sub buf 0 len })
+                    (Proto.Write
+                       { ino; off; data = Kernel.Vfs.gather_pages pages ~first:i ~len })
                 with
                 | Proto.R_written _ -> ship (i + chunk)
                 | r -> Error (errno_of_reply r)

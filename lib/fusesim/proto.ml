@@ -81,10 +81,7 @@ let add_u16 b v =
   Buffer.add_char b (Char.chr (v land 0xff));
   Buffer.add_char b (Char.chr ((v lsr 8) land 0xff))
 
-let add_u64 b v =
-  let x = Bytes.create 8 in
-  Bytes.set_int64_le x 0 (Int64.of_int v);
-  Buffer.add_bytes b x
+let add_u64 b v = Buffer.add_int64_le b (Int64.of_int v)
 
 let add_str b s =
   add_u16 b (String.length s);
@@ -136,8 +133,17 @@ let get_data c =
 
 (* --- requests ------------------------------------------------------ *)
 
+(* Room for the fixed fields plus any bulk payload, so a [Write] or an
+   [R_data] is copied into the buffer once, without regrowing it. *)
+let header_room = 64
+
 let encode_request ~unique (r : request) : Bytes.t =
-  let b = Buffer.create 64 in
+  let b =
+    Buffer.create
+      (match r with
+      | Write { data; _ } -> header_room + Bytes.length data
+      | _ -> header_room)
+  in
   add_u16 b (opcode r);
   add_u64 b unique;
   (match r with
@@ -265,7 +271,12 @@ let get_attr c =
   { ino; kind; size; nlink }
 
 let encode_reply ~unique (r : reply) : Bytes.t =
-  let b = Buffer.create 64 in
+  let b =
+    Buffer.create
+      (match r with
+      | R_data d -> header_room + Bytes.length d
+      | _ -> header_room)
+  in
   add_u64 b unique;
   let err, tag =
     match r with
@@ -280,9 +291,7 @@ let encode_reply ~unique (r : reply) : Bytes.t =
     | R_dirents_plus _ -> (0, 8)
     | R_block _ -> (0, 9)
   in
-  let x = Bytes.create 4 in
-  Bytes.set_int32_le x 0 (Int32.of_int err);
-  Buffer.add_bytes b x;
+  Buffer.add_int32_le b (Int32.of_int err);
   add_u16 b tag;
   (match r with
   | R_err _ | R_none -> ()

@@ -1,6 +1,12 @@
 (** User-level buffer cache over the O_DIRECT disk file — the userspace
     replacement for the kernel buffer cache (O_DIRECT bypasses kernel
-    caches, so the daemon must cache blocks itself). *)
+    caches, so the daemon must cache blocks itself).
+
+    Eviction is O(1) in the common case: unreferenced buffers sit on an
+    intrusive free list in release order, and a miss in a full cache
+    evicts the least recently released buffer that is not pinned. The
+    victim's payload is reused for the new block, so a buffer's [data]
+    must not be used after its {!brelse}. *)
 
 type buf = {
   block : int;
@@ -8,12 +14,17 @@ type buf = {
   mutable valid : bool;
   mutable refcount : int;
   mutable pinned : int;
-  mutable lru_tick : int;
+  mutable lru_prev : buf option;
+      (** intrusive free-list links, maintained by the cache: a buffer is
+          linked exactly while its refcount is zero *)
+  mutable lru_next : buf option;
+  mutable on_lru : bool;
 }
 
 type t
 
 exception No_buffers
+(** A miss found the cache full of referenced or pinned buffers. *)
 
 val create : ?capacity:int -> Ufile.t -> t
 val stats : t -> Sim.Stats.t
@@ -44,3 +55,9 @@ val flush : t -> unit
     has, and FUSE's downfall in the evaluation. *)
 
 val cached_blocks : t -> int
+
+val mem : t -> int -> bool
+(** Whether the block is cached right now. *)
+
+val check_invariants : t -> unit
+(** Raises on violated internal invariants (tests). *)

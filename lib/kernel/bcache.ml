@@ -194,12 +194,13 @@ let ref_dec s b =
   if b.refcount = 0 then lru_append s b
 
 (* Evict one unreferenced buffer from the shard, least recently released
-   first. Called with the shard lock held. A clean victim unhooks in
-   O(1); a dirty victim is written back with the shard lock *released* —
-   the victim is pinned by a temporary reference and its own sleeplock
-   meanwhile — so other lookups proceed during the I/O. If someone starts
-   using the victim while it is being written back, it is left cached and
-   another victim is taken. *)
+   first, and return its payload for the caller to reuse. Called with the
+   shard lock held. A clean victim unhooks in O(1); a dirty victim is
+   written back with the shard lock *released* — the victim is pinned by
+   a temporary reference and its own sleeplock meanwhile — so other
+   lookups proceed during the I/O. If someone starts using the victim
+   while it is being written back, it is left cached and another victim
+   is taken. *)
 let rec evict_one t s =
   match s.lru_head with
   | None -> raise No_buffers
@@ -208,7 +209,8 @@ let rec evict_one t s =
       if not b.dirty then begin
         Hashtbl.remove s.table b.block;
         Sim.Trace.instant t.tracer ~cat:"bcache" "bcache:evict";
-        incr_s s "evictions"
+        incr_s s "evictions";
+        b.data
       end
       else begin
         b.refcount <- 1;
@@ -225,7 +227,8 @@ let rec evict_one t s =
         if b.refcount = 0 then begin
           Hashtbl.remove s.table b.block;
           Sim.Trace.instant t.tracer ~cat:"bcache" "bcache:evict";
-          incr_s s "evictions"
+          incr_s s "evictions";
+          b.data
         end
         else
           (* Raced with a new user: the block is hot again. *)
@@ -237,12 +240,13 @@ let rec evict_one t s =
    makes the handoff to [bread] safe: eviction skips referenced buffers,
    so the buf cannot be recycled between here and the caller taking its
    sleeplock. Eviction may release and re-acquire the shard lock, so the
-   lookup restarts afterwards. *)
+   lookup restarts afterwards, carrying the victim's payload: a new buffer
+   takes it over instead of allocating one. *)
 let getbuf t block =
   let s = shard_of t block in
   Sim.Sync.Mutex.with_lock s.slock (fun () ->
       Machine.cpu_work t.machine (Machine.cost t.machine).Cost.buffer_lookup;
-      let rec find () =
+      let rec find spare =
         match Hashtbl.find_opt s.table block with
         | Some b ->
             incr_s s "hits";
@@ -250,17 +254,17 @@ let getbuf t block =
             ref_inc s b;
             b
         | None ->
-            if Hashtbl.length s.table >= s.cap then begin
-              evict_one t s;
-              find ()
-            end
+            if Hashtbl.length s.table >= s.cap then find (Some (evict_one t s))
             else begin
               incr_s s "misses";
               Sim.Trace.instant t.tracer ~cat:"bcache" "bcache:miss";
               let b =
                 {
                   block;
-                  data = Bytes.make (block_size t) '\000';
+                  data =
+                    (match spare with
+                    | Some d -> d
+                    | None -> Bytes.make (block_size t) '\000');
                   lock = Sim.Sync.Mutex.create ~name:"buf" ();
                   valid = false;
                   dirty = false;
@@ -274,7 +278,7 @@ let getbuf t block =
               b
             end
       in
-      find ())
+      find None)
 
 (** Return a locked buffer containing the current contents of [block],
     reading from the device on a miss (xv6 [bread], Linux [sb_bread]). *)

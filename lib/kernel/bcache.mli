@@ -5,7 +5,18 @@
     with its sleeplock held and reference taken; the holder must [brelse].
     [bwrite] writes through to the device's volatile cache; durability
     needs a separate {!flush} barrier. Pinning ([bpin]) keeps a block
-    cached while a log holds it staged. *)
+    cached while a log holds it staged.
+
+    {b Payload ownership.} A buffer's [data] belongs to the cache: the
+    holder may read and write it between [bread]/[getblk] and [brelse],
+    and must not keep it afterwards, because eviction hands the victim's
+    payload to the next block that misses instead of allocating a new
+    one. A payload never aliases a device block: a fill blits the
+    device's read-only view into it, and a write is copied by the device.
+    {!raw_read} and {!raw_read_scatter} return the device's read-only
+    views unchanged; their callers must not mutate them. The copies left
+    on this path are the fill (device → buffer) and the device's copy of
+    each written block. *)
 
 type buf = {
   block : int;
@@ -36,6 +47,7 @@ val create : ?capacity:int -> ?shards:int -> Machine.t -> t
 val stats : t -> Sim.Stats.t
 (** Whole-cache statistics: the per-shard counters merged by name,
     refreshed on every call. *)
+
 val block_size : t -> int
 
 val bread : t -> int -> buf

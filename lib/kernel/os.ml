@@ -357,18 +357,25 @@ let unlink t path : unit res =
   let* st = Vfs.lookup t.vfs ~dir:parent.Vfs.st_ino base in
   if st.Vfs.st_kind = Vfs.Dir then Error Errno.EISDIR
   else
-    let* () = (Vfs.ops t.vfs).Vfs.unlink ~dir:parent.Vfs.st_ino base in
-    Vfs.dcache_remove t.vfs ~dir:parent.Vfs.st_ino base;
-    (match Vfs.find_vnode t.vfs st.Vfs.st_ino with
-    | Some v ->
-        v.Vfs.v_unlinked <- true;
-        if v.Vfs.v_nopen = 0 then Vfs.drop_vnode t.vfs v
-    | None ->
-        (* never opened, so no vnode carries the deletion to the CAS
-           binding — drop it here or a file recycling the inode number
-           would serve the sealed content *)
-        if st.Vfs.st_nlink <= 1 then Vfs.cas_unbind t.vfs st.Vfs.st_ino);
-    Ok ()
+    (* The fs may free the inode and then block on its commit, while a
+       concurrent create recycles the number: detach the vnode first. *)
+    let v = Vfs.detach_vnode t.vfs st.Vfs.st_ino in
+    match (Vfs.ops t.vfs).Vfs.unlink ~dir:parent.Vfs.st_ino base with
+    | Error _ as e ->
+        Option.iter (Vfs.reattach_vnode t.vfs) v;
+        e
+    | Ok () ->
+        Vfs.dcache_remove t.vfs ~dir:parent.Vfs.st_ino base;
+        (match v with
+        | Some v ->
+            v.Vfs.v_unlinked <- true;
+            if v.Vfs.v_nopen = 0 then Vfs.drop_vnode t.vfs v
+        | None ->
+            (* never opened, so no vnode carries the deletion to the CAS
+               binding — drop it here or a file recycling the inode number
+               would serve the sealed content *)
+            if st.Vfs.st_nlink <= 1 then Vfs.cas_unbind t.vfs st.Vfs.st_ino);
+        Ok ()
 
 let rmdir t path : unit res =
   syscall t "rmdir" @@ fun () ->
@@ -393,29 +400,36 @@ let rename t oldpath newpath : unit res =
     | Ok st when st.Vfs.st_kind <> Vfs.Dir -> Some st.Vfs.st_ino
     | _ -> None
   in
-  let* () =
+  (* detached across the fs call for the same reason as in [unlink] *)
+  let victim_vnode = Option.bind victim (Vfs.detach_vnode t.vfs) in
+  match
     (Vfs.ops t.vfs).Vfs.rename ~olddir:oparent.Vfs.st_ino ~oldname:oname
       ~newdir:nparent.Vfs.st_ino ~newname:nname
-  in
-  Vfs.dcache_remove t.vfs ~dir:oparent.Vfs.st_ino oname;
-  Vfs.dcache_remove t.vfs ~dir:nparent.Vfs.st_ino nname;
-  (match victim with
-  | Some vino ->
-      (* renaming one hard link of an inode onto another is a no-op that
-         leaves both names; only a truly replaced inode loses a link *)
-      let still_linked =
-        match Vfs.lookup t.vfs ~dir:nparent.Vfs.st_ino nname with
-        | Ok st -> st.Vfs.st_ino = vino
-        | Error _ -> false
-      in
-      if not still_linked then (
-        match Vfs.find_vnode t.vfs vino with
-        | Some v ->
-            v.Vfs.v_unlinked <- true;
-            if v.Vfs.v_nopen = 0 then Vfs.drop_vnode t.vfs v
-        | None -> Vfs.cas_unbind t.vfs vino)
-  | None -> ());
-  Ok ()
+  with
+  | Error _ as e ->
+      Option.iter (Vfs.reattach_vnode t.vfs) victim_vnode;
+      e
+  | Ok () ->
+      Vfs.dcache_remove t.vfs ~dir:oparent.Vfs.st_ino oname;
+      Vfs.dcache_remove t.vfs ~dir:nparent.Vfs.st_ino nname;
+      (match victim with
+      | Some vino -> (
+          (* renaming one hard link of an inode onto another is a no-op
+             that leaves both names; only a truly replaced inode loses a
+             link *)
+          let still_linked =
+            match Vfs.lookup t.vfs ~dir:nparent.Vfs.st_ino nname with
+            | Ok st -> st.Vfs.st_ino = vino
+            | Error _ -> false
+          in
+          match victim_vnode with
+          | Some v when still_linked -> Vfs.reattach_vnode t.vfs v
+          | Some v ->
+              v.Vfs.v_unlinked <- true;
+              if v.Vfs.v_nopen = 0 then Vfs.drop_vnode t.vfs v
+          | None -> if not still_linked then Vfs.cas_unbind t.vfs vino)
+      | None -> ());
+      Ok ()
 
 let link t oldpath newpath : unit res =
   syscall t "link" @@ fun () ->

@@ -191,6 +191,10 @@ type t = {
   ops : fs_ops;
   page_size : int;
   vnodes : (int, vnode) Hashtbl.t;
+  mutable detached : vnode list;
+      (** vnodes of files being deleted or deleted while open: out of
+          [vnodes], so a recycled inode number gets a fresh vnode, but
+          their pages are still cached and accounted *)
   dcache : (int * string, int) Hashtbl.t;  (** (dir, name) -> ino *)
   total_dirty : Pcpu.t;  (** dirty pages across all files *)
   total_pages : Pcpu.t;  (** all cached pages (memory pressure) *)
@@ -270,14 +274,19 @@ let vnode_of t ino ~kind ~size =
 
 let find_vnode t ino = Hashtbl.find_opt t.vnodes ino
 
+(* Every vnode holding pages: the table and the detached ones. *)
+let iter_vnodes t f =
+  Hashtbl.iter (fun _ v -> f v) t.vnodes;
+  List.iter f t.detached
+
 (* Memory pressure: drop clean pages of unopened files until comfortably
    below the cap (the kernel's page reclaim, radically simplified). *)
 let reclaim_pages t =
   if Pcpu.read t.total_pages > t.page_cap then begin
     incr t "page_reclaims";
     let target = t.page_cap * 7 / 8 in
-    Hashtbl.iter
-      (fun _ v ->
+    iter_vnodes t
+      (fun v ->
         if Pcpu.read t.total_pages > target && v.v_nopen = 0 then begin
           let clean =
             Hashtbl.fold
@@ -295,7 +304,6 @@ let reclaim_pages t =
               end)
             clean
         end)
-      t.vnodes
   end
 
 (* Insert [p] at [index], keeping the cached/dirty totals exact even when
@@ -322,8 +330,8 @@ let set_debug_accounting b = debug_accounting := b
 
 let check_accounting_body t =
   let dirty = ref 0 and pages = ref 0 in
-  Hashtbl.iter
-    (fun _ v ->
+  iter_vnodes t
+    (fun v ->
       let vd =
         Hashtbl.fold (fun _ p n -> if p.pdirty then n + 1 else n) v.v_pages 0
       in
@@ -332,8 +340,7 @@ let check_accounting_body t =
           (Printf.sprintf "vfs: ino %d dirty counter %d <> actual %d" v.v_ino
              v.v_dirty_pages vd);
       dirty := !dirty + vd;
-      pages := !pages + Hashtbl.length v.v_pages)
-    t.vnodes;
+      pages := !pages + Hashtbl.length v.v_pages);
   if !dirty <> Pcpu.read t.total_dirty then
     failwith
       (Printf.sprintf "vfs: total_dirty %d <> actual %d"
@@ -350,8 +357,8 @@ let check_accounting_body t =
   | None -> ()
   | Some c ->
       let aliases : (int64, int) Hashtbl.t = Hashtbl.create 64 in
-      Hashtbl.iter
-        (fun _ v ->
+      iter_vnodes t
+        (fun v ->
           Hashtbl.iter
             (fun i p ->
               match p.pshared with
@@ -363,8 +370,7 @@ let check_accounting_body t =
                          v.v_ino i);
                   Hashtbl.replace aliases h
                     (1 + Option.value ~default:0 (Hashtbl.find_opt aliases h)))
-            v.v_pages)
-        t.vnodes;
+            v.v_pages);
       let table = c.cas_debug_refs () in
       List.iter
         (fun (h, refs) ->
@@ -416,6 +422,21 @@ let runs_of_indexes ~batch indexes =
         | _ -> go (List.rev run :: acc) [ i ] rest)
   in
   go [] [] indexes
+
+(* One copy of a contiguous run of pages, from entry [first] on, into a
+   fresh buffer of exactly [len] bytes. *)
+let gather_pages (pages : (int * Bytes.t) array) ~first ~len =
+  let buf = Bytes.create len in
+  let rec go i off =
+    if off < len then begin
+      let page = snd pages.(i) in
+      let n = min (Bytes.length page) (len - off) in
+      Bytes.blit page 0 buf off n;
+      go (i + 1) (off + n)
+    end
+  in
+  go first 0;
+  buf
 
 (* Sample total dirty pages as a Perfetto counter track (no-op while
    tracing is disabled). *)
@@ -515,8 +536,9 @@ let wb_all_fanout = 4
     still serialised by each vnode's [v_wb] lock. *)
 
 let writeback_all t =
-  let vs = Hashtbl.fold (fun _ v acc -> v :: acc) t.vnodes [] in
-  let vs = List.sort (fun a b -> compare a.v_ino b.v_ino) vs in
+  let vs = ref [] in
+  iter_vnodes t (fun v -> vs := v :: !vs);
+  let vs = List.sort (fun a b -> compare a.v_ino b.v_ino) !vs in
   match List.filter (fun v -> v.v_dirty_pages > 0) vs with
   | [] -> ()
   | [ v ] -> writeback_vnode t v
@@ -570,6 +592,7 @@ let mount ?(dirty_limit = 48 * 256) ?(page_cap = 131072) ?(background = true)
       ops;
       page_size = Device.Ssd.block_size (Machine.disk machine);
       vnodes = Hashtbl.create 1024;
+      detached = [];
       dcache = Hashtbl.create 4096;
       total_dirty = Pcpu.create ();
       total_pages = Pcpu.create ();
@@ -1057,9 +1080,29 @@ let invalidate_pages t v =
   Pcpu.add t.total_pages (-(Hashtbl.length v.v_pages));
   Hashtbl.reset v.v_pages
 
+let detach_vnode t ino =
+  let v = Hashtbl.find_opt t.vnodes ino in
+  Option.iter
+    (fun v ->
+      Hashtbl.remove t.vnodes ino;
+      t.detached <- v :: t.detached)
+    v;
+  v
+
+let undetach t v = t.detached <- List.filter (fun v' -> v' != v) t.detached
+
+let reattach_vnode t v =
+  if not (Hashtbl.mem t.vnodes v.v_ino) then begin
+    undetach t v;
+    Hashtbl.add t.vnodes v.v_ino v
+  end
+
 let drop_vnode t v =
   invalidate_pages t v;
-  Hashtbl.remove t.vnodes v.v_ino;
+  (* a detached vnode's number may already belong to a new file *)
+  (match Hashtbl.find_opt t.vnodes v.v_ino with
+  | Some v' when v' == v -> Hashtbl.remove t.vnodes v.v_ino
+  | _ -> undetach t v);
   (* deletion context only (unlink / rename victim): a binding for a
      recycled inode number must not serve stale sealed content *)
   if v.v_unlinked then cas_unbind t v.v_ino
@@ -1089,18 +1132,17 @@ let drop_caches t : unit res =
          assumed full eviction, and stale [pra] marks on surviving pages
          would credit the next read stream with hits it never earned. *)
       let held : (int64, unit) Hashtbl.t = Hashtbl.create 64 in
-      Hashtbl.iter
-        (fun _ v ->
+      iter_vnodes t
+        (fun v ->
           if v.v_nopen > 0 then
             Hashtbl.iter
               (fun _ p ->
                 match p.pshared with
                 | Some h -> Hashtbl.replace held h ()
                 | None -> ())
-              v.v_pages)
-        t.vnodes;
-      Hashtbl.iter
-        (fun _ v ->
+              v.v_pages);
+      iter_vnodes t
+        (fun v ->
           let doomed =
             Hashtbl.fold
               (fun i p acc ->
@@ -1124,7 +1166,6 @@ let drop_caches t : unit res =
             doomed;
           v.v_ra_next <- 0;
           v.v_ra_window <- 0;
-          v.v_ra_issued_to <- 0)
-        t.vnodes;
+          v.v_ra_issued_to <- 0);
       if !debug_accounting then check_accounting t;
       Ok ()

@@ -67,6 +67,11 @@ type fs_ops = {
   max_file_size : int;
 }
 
+val gather_pages : (int * Bytes.t) array -> first:int -> len:int -> Bytes.t
+(** [gather_pages pages ~first ~len] copies the first [len] bytes of the
+    contiguous run [pages] from entry [first] on into one fresh buffer —
+    a [write_pages] payload clamped to the inode size, in one copy. *)
+
 val profiled_ops : Machine.t -> string -> fs_ops -> fs_ops
 (** Wrap every entry point of an ops table in a profiler layer frame (e.g.
     "fs") — how in-kernel file systems registered directly with the VFS
@@ -131,7 +136,23 @@ val vnode_of : t -> int -> kind:file_kind -> size:int -> vnode
 (** Find-or-create the in-core inode. *)
 
 val find_vnode : t -> int -> vnode option
+
+val detach_vnode : t -> int -> vnode option
+(** Take the inode's vnode out of the lookup table, if it has one, while
+    its file is being deleted: once the fs frees the inode, a concurrent
+    create may recycle the number, and it must get a fresh vnode rather
+    than the dying file's size and pages. A detached vnode keeps its pages
+    (an open file outlives its unlink) and stays in writeback, reclaim
+    and accounting until {!drop_vnode}. *)
+
+val reattach_vnode : t -> vnode -> unit
+(** Put a detached vnode back (the deletion failed), unless a vnode for
+    the same inode was created meanwhile; then it stays detached. *)
+
 val drop_vnode : t -> vnode -> unit
+(** Drop the vnode's pages and its table entry, if the entry is still
+    this vnode. *)
+
 val invalidate_pages : t -> vnode -> unit
 
 (** {1 Dentry cache} *)

@@ -108,18 +108,19 @@ let do_commit fs =
     Kernel.Machine.incr fs.machine "log_commits";
     Kernel.Machine.incr ~by:n fs.machine "log_commit_blocks";
     let home_bufs = List.map (fun blk -> Kernel.Bcache.bread fs.bc blk) order in
-    (* copy to log area, one write per block *)
-    let datas = ref [] in
+    (* copy to log area, one write per block, checksumming each block as
+       it is written *)
+    let checksum = ref Util.Fnv64.init in
     List.iteri
       (fun i src ->
         let dst = Kernel.Bcache.getblk fs.bc (fs.log.log_start + i) in
         cpu fs (costs fs).Kernel.Cost.log_copy_per_block;
         Bytes.blit src.Kernel.Bcache.data 0 dst.Kernel.Bcache.data 0 bsize;
         Kernel.Bcache.bwrite fs.bc dst;
-        datas := Bytes.copy dst.Kernel.Bcache.data :: !datas;
+        checksum := Util.Fnv64.fold_block !checksum dst.Kernel.Bcache.data;
         Kernel.Bcache.brelse fs.bc dst)
       home_bufs;
-    let checksum = L.checksum_blocks (List.rev !datas) in
+    let checksum = !checksum in
     let hdr = Kernel.Bcache.getblk fs.bc fs.log.header_block in
     L.put_log_header hdr.Kernel.Bcache.data
       { L.n; checksum; targets = Array.of_list order };
@@ -222,7 +223,7 @@ let log_recover fs =
       List.init h.L.n (fun i -> Kernel.Bcache.bread fs.bc (fs.log.log_start + i))
     in
     let checksum =
-      L.checksum_blocks (List.map (fun b -> b.Kernel.Bcache.data) log_bufs)
+      Util.Fnv64.checksum_blocks (List.map (fun b -> b.Kernel.Bcache.data) log_bufs)
     in
     if Int64.equal checksum h.L.checksum then begin
       List.iteri
@@ -1514,7 +1515,10 @@ let mount ?dirty_limit ?background machine : (Kernel.Vfs.t, Kernel.Errno.t) resu
                   if len = 0 then Ok ()
                   else begin
                     let ip = iget fs ino in
-                    let r = writei fs ip ~off (Bytes.sub data 0 len) in
+                    let data =
+                      if len = Bytes.length data then data else Bytes.sub data 0 len
+                    in
+                    let r = writei fs ip ~off data in
                     iput fs ip;
                     match r with Ok _ -> Ok () | Error _ as e -> e
                   end);

@@ -159,7 +159,7 @@ module Make (K : Bento.Bentoks.KSERVICES) = struct
         in
         K.bwrite_all log_bufs;
         let checksum =
-          L.checksum_blocks (List.map (fun b -> K.Buffer.data b) log_bufs)
+          Util.Fnv64.checksum_blocks (List.map (fun b -> K.Buffer.data b) log_bufs)
         in
         List.iter K.brelse log_bufs;
         (* 2. checksummed header; FLUSH = commit point *)
@@ -331,7 +331,7 @@ module Make (K : Bento.Bentoks.KSERVICES) = struct
           List.init h.L.n (fun i -> K.bread (t.start + i))
         in
         let checksum =
-          L.checksum_blocks (List.map (fun b -> K.Buffer.data b) log_bufs)
+          Util.Fnv64.checksum_blocks (List.map (fun b -> K.Buffer.data b) log_bufs)
         in
         if Int64.equal checksum h.L.checksum then begin
           K.printk

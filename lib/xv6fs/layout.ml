@@ -137,29 +137,6 @@ let log_max_entries = (block_size - 16) / 4
 
 type log_header = { n : int; checksum : int64; targets : int array }
 
-(** FNV-1a over every word of each data block. Sampling stripes is not
-    enough here: a torn commit can leave a *previous* transaction's copy
-    in a log slot, and that stale copy differs from the lost write in
-    only a few bytes (one dirent, one inode), which a sparse sample can
-    miss entirely — recovery would then install the stale block. *)
-let checksum_blocks (blocks : Bytes.t list) =
-  let h = ref 0xcbf29ce484222325L in
-  let mix v =
-    h := Int64.logxor !h v;
-    h := Int64.mul !h 0x100000001b3L
-  in
-  List.iter
-    (fun b ->
-      let len = Bytes.length b in
-      mix (Int64.of_int len);
-      let off = ref 0 in
-      while !off + 8 <= len do
-        mix (Bytes.get_int64_le b !off);
-        off := !off + 8
-      done)
-    blocks;
-  !h
-
 let put_log_header block h =
   if h.n > log_max_entries then invalid_arg "put_log_header";
   Bytes.fill block 0 (Bytes.length block) '\000';

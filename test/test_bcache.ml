@@ -351,8 +351,44 @@ let prop_shard_equivalence =
         single;
       true)
 
+(* A payload recycled from an evicted buffer must never be a block the
+   device holds: writing into a held buffer changes nothing on the device
+   until bwrite. *)
+let test_recycled_payload_private () =
+  with_bc ~capacity:2 (fun machine bc ->
+      let dev = Kernel.Machine.disk machine in
+      for blk = 0 to 5 do
+        let b = Kernel.Bcache.getblk bc blk in
+        Bytes.fill b.Kernel.Bcache.data 0 4096 (Char.chr (65 + blk));
+        Kernel.Bcache.bwrite bc b;
+        Kernel.Bcache.brelse bc b;
+        if blk = 2 then Kernel.Bcache.flush bc
+      done;
+      let stored () =
+        Array.to_list (Device.Ssd.crash_view dev) |> List.filter_map Fun.id
+        |> List.append (List.map snd (Device.Ssd.volatile_view dev))
+      in
+      for blk = 0 to 5 do
+        let b = Kernel.Bcache.bread bc blk in
+        let raw = Kernel.Bcache.raw_read bc blk in
+        if List.exists (fun s -> s == b.Kernel.Bcache.data) (raw :: stored ()) then
+          Alcotest.failf "block %d: buffer payload aliases a device block" blk;
+        Bytes.fill b.Kernel.Bcache.data 0 4096 'Z';
+        Alcotest.(check bytes) "device untouched"
+          (Bytes.make 4096 (Char.chr (65 + blk)))
+          (Device.Ssd.Offline.read dev blk);
+        Alcotest.(check bytes) "raw read untouched"
+          (Bytes.make 4096 (Char.chr (65 + blk))) raw;
+        (* drop the scribble so the buffer is clean for eviction *)
+        Bytes.blit raw 0 b.Kernel.Bcache.data 0 4096;
+        Kernel.Bcache.brelse bc b
+      done;
+      Kernel.Bcache.check_invariants bc)
+
 let suite =
   [
+    tc "recycled payload never aliases the device" `Quick
+      test_recycled_payload_private;
     tc "roundtrip" `Quick test_read_write_roundtrip;
     tc "lru exact eviction order" `Quick test_lru_exact_order;
     tc "invariants under churn" `Quick test_invariants_under_churn;

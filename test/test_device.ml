@@ -196,8 +196,33 @@ let test_drain_overflow_fifo () =
       Alcotest.(check bytes) "undrained lost" (block '\000')
         (Device.Ssd.read d 40))
 
+(* Stored blocks are immutable: a read hands out the stored block itself,
+   so neither it nor an earlier crash_view may change when the same block
+   is later written, flushed or lost in a crash; and the device must not
+   keep the caller's write payload. *)
+let test_read_views_immutable () =
+  with_dev (fun _e d ->
+      let payload = block 'a' in
+      Device.Ssd.write d 5 payload;
+      Bytes.fill payload 0 4096 'X';
+      let volatile_read = Device.Ssd.read d 5 in
+      Device.Ssd.flush d;
+      let view = Device.Ssd.crash_view d in
+      let stable_read = Device.Ssd.read d 5 in
+      Device.Ssd.write d 5 (block 'b');
+      Device.Ssd.flush d;
+      Device.Ssd.write d 5 (block 'c');
+      Device.Ssd.crash d;
+      Alcotest.(check bytes) "volatile read" (block 'a') volatile_read;
+      Alcotest.(check bytes) "stable read" (block 'a') stable_read;
+      (match view.(5) with
+      | Some b -> Alcotest.(check bytes) "crash_view" (block 'a') b
+      | None -> Alcotest.fail "flushed block missing from crash_view");
+      Alcotest.(check bytes) "device now" (block 'b') (Device.Ssd.read d 5))
+
 let suite =
   [
+    tc "read views immutable" `Quick test_read_views_immutable;
     tc "write/read roundtrip" `Quick test_write_read_roundtrip;
     tc "overflow drain is FIFO" `Quick test_drain_overflow_fifo;
     tc "contiguous command batching" `Quick test_contig_cheaper_than_scattered;

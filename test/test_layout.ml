@@ -118,9 +118,62 @@ let prop_checksum_sensitive =
       let blocks =
         List.init n (fun i -> Bytes.make 4096 (Char.chr (33 + (i mod 90))))
       in
-      let full = Xv6fs.Layout.checksum_blocks blocks in
-      let torn = Xv6fs.Layout.checksum_blocks (List.tl blocks) in
+      let full = Util.Fnv64.checksum_blocks blocks in
+      let torn = Util.Fnv64.checksum_blocks (List.tl blocks) in
       not (Int64.equal full torn))
+
+(* The log checksum as first written: a closure-captured running hash.
+   Kept as the reference the unboxed fold must agree with bit for bit,
+   since the value is part of the on-disk log format. *)
+let reference_checksum (blocks : Bytes.t list) =
+  let h = ref 0xcbf29ce484222325L in
+  let mix v =
+    h := Int64.logxor !h v;
+    h := Int64.mul !h 0x100000001b3L
+  in
+  List.iter
+    (fun b ->
+      let len = Bytes.length b in
+      mix (Int64.of_int len);
+      let off = ref 0 in
+      while !off + 8 <= len do
+        mix (Bytes.get_int64_le b !off);
+        off := !off + 8
+      done)
+    blocks;
+  !h
+
+let prop_checksum_reference =
+  QCheck.Test.make ~count:200 ~name:"log checksum equals reference definition"
+    QCheck.(list_of_size Gen.(int_range 0 6) (string_of_size Gen.(int_range 0 300)))
+    (fun strs ->
+      let blocks = List.map Bytes.of_string strs in
+      Int64.equal (Util.Fnv64.checksum_blocks blocks) (reference_checksum blocks))
+
+let golden_blocks () =
+  [
+    Bytes.init 4096 (fun i -> Char.chr (i land 0xff));
+    Bytes.make 4096 'x';
+    Bytes.make 19 'z';
+  ]
+
+let test_checksum_golden () =
+  (* a change here changes the on-disk log format *)
+  Alcotest.(check int64) "no blocks" 0xcbf29ce484222325L
+    (Util.Fnv64.checksum_blocks []);
+  Alcotest.(check int64) "golden" 0x312a516a1dd3b66eL
+    (Util.Fnv64.checksum_blocks (golden_blocks ()))
+
+let test_checksum_unboxed () =
+  let blocks = List.init 64 (fun i -> Bytes.make 4096 (Char.chr (i + 33))) in
+  ignore (Util.Fnv64.checksum_blocks blocks);
+  let before = Gc.minor_words () in
+  let h = Util.Fnv64.checksum_blocks blocks in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity h);
+  let per_block = words /. 64. in
+  if per_block >= 16. then
+    Alcotest.failf "checksum allocates %.1f words per 4 KiB block" per_block
 
 let gen_extent =
   QCheck.Gen.(
@@ -181,6 +234,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_superblock_roundtrip;
     QCheck_alcotest.to_alcotest prop_log_header_roundtrip;
     QCheck_alcotest.to_alcotest prop_checksum_sensitive;
+    QCheck_alcotest.to_alcotest prop_checksum_reference;
+    tc "log checksum golden value" `Quick test_checksum_golden;
+    tc "log checksum does not box per word" `Quick test_checksum_unboxed;
     QCheck_alcotest.to_alcotest prop_ext4_dinode_roundtrip;
     QCheck_alcotest.to_alcotest prop_ext4_descriptor_roundtrip;
     tc "layout geometry" `Quick test_layout_geometry;

@@ -62,17 +62,25 @@ let test_two_fds_one_file () =
       ok (Kernel.Os.close os fd2))
 
 let test_unlink_while_open () =
-  with_xv6 (fun _m os _ _ ->
+  with_xv6 (fun _m os vfs _ ->
       ok (Kernel.Os.write_file os "/f" (bytes_of_string "still here"));
       let fd = ok (Kernel.Os.open_ os "/f" Kernel.Os.rdonly) in
       ok (Kernel.Os.unlink os "/f");
       check_res "name gone" Kernel.Errno.ENOENT (Kernel.Os.stat os "/f");
+      (* the unlinked file's cached pages are still accounted for *)
+      Kernel.Vfs.check_accounting vfs;
+      (* a new file under the same name must not see the open file's
+         size or pages *)
+      ok (Kernel.Os.write_file os "/f" (bytes_of_string "new"));
+      Alcotest.(check string) "new file" "new"
+        (Bytes.to_string (ok (Kernel.Os.read_file os "/f")));
       (* POSIX: data remains readable through the open fd *)
       Alcotest.(check string) "data via fd" "still here"
         (Bytes.to_string (ok (Kernel.Os.pread os fd ~pos:0 ~len:10)));
       ok (Kernel.Os.close os fd);
       (* blocks reclaimed after final close *)
-      ok (Kernel.Os.sync os))
+      ok (Kernel.Os.sync os);
+      Kernel.Vfs.check_accounting vfs)
 
 let test_ftruncate_and_extend () =
   with_xv6 (fun _m os _ _ ->
@@ -142,8 +150,81 @@ let test_shrink_then_extend_zeroes () =
       Alcotest.(check bool) "only ~2 blocks were still held" true
         (free_after - free_now <= 3))
 
+(* Several fibers each unlink one of their own files, re-create it with
+   an fsynced message, and read another of their files back whole. The
+   unlink's commit blocks on log I/O after the inode is freed, so another
+   fiber's create can recycle the inode number meanwhile; the new file
+   must start empty, not inherit the dying file's cached size and pages. *)
+let test_unlink_recreate_race () =
+  with_seed ~default:1 (fun seed ->
+      in_sim (fun machine ->
+          ok (Bento.Bentofs.mkfs machine xv6_maker);
+          let vfs, handle =
+            ok (Bento.Bentofs.mount ~background:true machine xv6_maker)
+          in
+          let os = Kernel.Os.create vfs in
+          let fibers = 8 and files_per_fiber = 6 and rounds = 60 in
+          let path id = Printf.sprintf "/m%03d" id in
+          let rng = Sim.Rng.create seed in
+          let contents =
+            Array.init (fibers * files_per_fiber) (fun id ->
+                let data = payload ~seed:(seed + id) (1024 + Sim.Rng.int rng 12288) in
+                ok (Kernel.Os.write_file os (path id) data);
+                data)
+          in
+          ok (Kernel.Os.sync os);
+          let wrong = ref [] in
+          let done_ = Sim.Sync.Semaphore.create 0 in
+          for c = 0 to fibers - 1 do
+            let rng = Sim.Rng.split rng in
+            let own () = c + (fibers * Sim.Rng.int rng files_per_fiber) in
+            Kernel.Machine.spawn ~name:(Printf.sprintf "mail%d" c) machine
+              (fun () ->
+                for r = 1 to rounds do
+                  let victim = own () in
+                  ok (Kernel.Os.unlink os (path victim));
+                  let msg =
+                    payload ~seed:((seed * 1000) + (c * 100) + r)
+                      (512 + Sim.Rng.int rng 6144)
+                  in
+                  let fd =
+                    ok
+                      (Kernel.Os.open_ os (path victim)
+                         Kernel.Os.(creat (appendf wronly)))
+                  in
+                  ignore (ok (Kernel.Os.write os fd msg));
+                  ok (Kernel.Os.fsync os fd);
+                  ok (Kernel.Os.close os fd);
+                  contents.(victim) <- msg;
+                  let other = own () in
+                  let fd = ok (Kernel.Os.open_ os (path other) Kernel.Os.rdonly) in
+                  let st = ok (Kernel.Os.fstat os fd) in
+                  let got =
+                    ok (Kernel.Os.pread os fd ~pos:0 ~len:st.Kernel.Vfs.st_size)
+                  in
+                  ok (Kernel.Os.close os fd);
+                  if not (Bytes.equal got contents.(other)) then
+                    wrong :=
+                      Printf.sprintf "%s: read %d bytes, want %d" (path other)
+                        (Bytes.length got)
+                        (Bytes.length contents.(other))
+                      :: !wrong
+                done;
+                Sim.Sync.Semaphore.release done_)
+          done;
+          for _ = 1 to fibers do
+            Sim.Sync.Semaphore.acquire done_
+          done;
+          Bento.Bentofs.unmount vfs handle;
+          match !wrong with
+          | [] -> ()
+          | w :: _ ->
+              Alcotest.failf "%d wrong whole-file reads, e.g. %s"
+                (List.length !wrong) w))
+
 let suite =
   [
+    tc "unlink/re-create race keeps sizes" `Quick test_unlink_recreate_race;
     tc "path resolution" `Quick test_path_resolution;
     tc "name too long" `Quick test_name_too_long;
     tc "fd offsets" `Quick test_fd_offsets;
