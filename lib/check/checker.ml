@@ -127,6 +127,7 @@ let run_stack ?(disk_blocks = default_disk_blocks) (trace : Workload.trace)
         trace.Workload.ops;
       m.Stack.unmount ());
   Kernel.Machine.run machine;
+  Device.Ssd.check_invariants (Kernel.Machine.disk machine);
   out
 
 (** Diff every stack's per-op outcomes against the oracle's. *)
@@ -229,6 +230,7 @@ let capture_run ?(disk_blocks = default_disk_blocks) (trace : Workload.trace)
       m.Stack.unmount ();
       Device.Ssd.set_command_hook dev None);
   Kernel.Machine.run machine;
+  Device.Ssd.check_invariants dev;
   List.rev !points
 
 (* ------------------------------------------------------------------ *)
@@ -491,7 +493,9 @@ let replay_point ?(disk_blocks = default_disk_blocks) ?(inject_bug = false)
           m.Stack.unmount ()
       | exception Kernel.Errno.Error e ->
           failed := Some ("mount: " ^ Kernel.Errno.to_string e));
-  (try Kernel.Machine.run machine
+  (try
+     Kernel.Machine.run machine;
+     Device.Ssd.check_invariants dev
    with e -> failed := Some ("simulation: " ^ Printexc.to_string e));
   let result =
     match !failed with

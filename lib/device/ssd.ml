@@ -52,6 +52,9 @@ type t = {
   block_size : int;
   nblocks : int;
   stable : Bytes.t option array;  (** durable contents, [None] = zeroes *)
+  zero : Bytes.t;
+      (** the device's one all-zero block: every stored block that is all
+          zeroes is this one, and so is a read of a block never written *)
   volatile : (int, Bytes.t) Hashtbl.t;  (** written, not yet flushed *)
   write_order : int Queue.t;
       (** volatile-cache insertion order (oldest first). May contain stale
@@ -83,6 +86,7 @@ let create ?(config = default_config) ?tracer ?profile ~nblocks ~block_size
     block_size;
     nblocks;
     stable = Array.make nblocks None;
+    zero = Bytes.make block_size '\000';
     volatile = Hashtbl.create 1024;
     write_order = Queue.create ();
     channels = Sim.Resource.create ~name:"ssd-channels" config.channels;
@@ -106,7 +110,7 @@ let notify t cmd =
   match t.on_command with None -> () | Some f -> f cmd
 
 (* Everything stored in [stable] is replace-only (writers always install a
-   fresh copy), so a shallow copy of the array is a faithful snapshot of
+   fresh copy or the shared zero block), so a shallow copy of the array is a faithful snapshot of
    what an immediate power failure would leave behind. Callers must treat
    the payloads as read-only, as they must the blocks a read returns. *)
 let crash_view t = Array.copy t.stable
@@ -150,16 +154,21 @@ let channel_io t dur =
           Sim.Resource.busy_sleep t.channels dur))
 
 (* The stored durable-or-volatile contents of [block], shared rather than
-   copied: every stored block is immutable (writers install a fresh copy),
-   so a read can hand it out as a read-only view. A block never written
-   reads as a fresh zero block. *)
+   copied: every stored block is immutable (writers install a fresh copy
+   or the shared zero block), so a read can hand it out as a read-only
+   view. A block never written
+   reads as the shared zero block. *)
 let stored t block =
   match Hashtbl.find_opt t.volatile block with
   | Some b -> b
-  | None -> (
-      match t.stable.(block) with
-      | Some b -> b
-      | None -> Bytes.make t.block_size '\000')
+  | None -> ( match t.stable.(block) with Some b -> b | None -> t.zero)
+
+(* The immutable block the device stores for a caller's payload: the
+   shared zero block when the payload is all zeroes (mkfs zeroes whole
+   inode tables and logs), a private copy otherwise. [Bytes.equal] is a
+   memcmp that stops at the first nonzero byte, cheaper than the copy it
+   saves. *)
+let own t data = if Bytes.equal data t.zero then t.zero else Bytes.copy data
 
 (* One read command covering [count] consecutive blocks (fiber-blocking). *)
 let read_cmd t ~start ~count =
@@ -187,7 +196,7 @@ let store_volatile t block data =
   if Bytes.length data <> t.block_size then
     invalid_arg "Ssd.write: bad block size";
   if not (Hashtbl.mem t.volatile block) then Queue.push block t.write_order;
-  Hashtbl.replace t.volatile block (Bytes.copy data)
+  Hashtbl.replace t.volatile block (own t data)
 
 (* If the volatile cache overflows, the device stalls the command while it
    drains the overflow to flash at flush bandwidth. Victims leave in FIFO
@@ -342,6 +351,12 @@ let flush t =
 
 let dirty_blocks t = Hashtbl.length t.volatile
 
+(* A caller that mutates a read view of a never-written or all-zero block
+   would corrupt every such block on the device at once; this catches it. *)
+let check_invariants t =
+  if not (Bytes.for_all (fun c -> c = '\000') t.zero) then
+    failwith "Ssd.check_invariants: the shared zero block was mutated"
+
 (* Sorted for determinism; payloads are replace-only, hence safely shared. *)
 let volatile_view t =
   Hashtbl.fold (fun blk data acc -> (blk, data) :: acc) t.volatile []
@@ -383,13 +398,11 @@ module Offline = struct
   let write t block data =
     check t block;
     if Bytes.length data <> t.block_size then invalid_arg "Offline.write";
-    t.stable.(block) <- Some (Bytes.copy data);
+    t.stable.(block) <- Some (own t data);
     t.stable_epoch <- t.stable_epoch + 1;
     Hashtbl.remove t.volatile block
 
   let stable_read t block =
     check t block;
-    match t.stable.(block) with
-    | Some b -> Bytes.copy b
-    | None -> Bytes.make t.block_size '\000'
+    Bytes.copy (match t.stable.(block) with Some b -> b | None -> t.zero)
 end

@@ -16,10 +16,16 @@
     later write, flush or crash of the same block changes; callers must
     never mutate it, and copy it where they need a private buffer (the
     buffer caches blit it into their own payloads). {!Offline.read} and
-    {!Offline.stable_read} still return private copies. The copies that
-    remain on the device side are the one per written block at command
-    completion and the zero block made for a read of a block never
-    written. *)
+    {!Offline.stable_read} still return private copies.
+
+    Every all-zero block is one block: the device keeps a single shared
+    zero block and stores it, not a copy, whenever a written payload is
+    all zeroes, and a read of a block never written returns it too. An
+    ext4 mkfs thus stores one zero block instead of some 32,000. A caller
+    that mutated a read view would now corrupt every zero block at once;
+    {!check_invariants} detects that. The one copy that remains on the
+    device side is the one per written nonzero block at command
+    completion. *)
 
 type config = {
   read_base : int64;  (** per-command read latency floor (ns) *)
@@ -104,6 +110,10 @@ val flush : t -> unit
     [flush_base] + dirty bytes / [flush_bw]. *)
 
 val dirty_blocks : t -> int
+
+val check_invariants : t -> unit
+(** Raise [Failure] if the shared zero block is no longer all zeroes —
+    the sign that some caller mutated a read-only view. *)
 
 val crash_view : t -> Bytes.t option array
 (** Snapshot of what an immediate power failure would leave behind: the

@@ -418,16 +418,10 @@ let verify_manifest t mid =
         m.m_files
 
 (* ------------------------------------------------------------------ *)
-(* Machine registry: workloads reach the store through the machine the
-   Targets harness hands them                                          *)
+(* The machine's store, kept in a slot on the machine: workloads reach it
+   through the machine the Targets harness hands them                  *)
 
-let registry : (Machine.t * t) list ref = ref []
-
-let register machine t =
-  registry := (machine, t) :: List.filter (fun (m, _) -> m != machine) !registry
-
-let unregister machine =
-  registry := List.filter (fun (m, _) -> m != machine) !registry
-
-let of_machine machine =
-  List.find_opt (fun (m, _) -> m == machine) !registry |> Option.map snd
+let key : t Type.Id.t = Type.Id.make ()
+let register machine t = Machine.set_slot machine key t
+let unregister machine = Machine.remove_slot machine key
+let of_machine machine = Machine.find_slot machine key

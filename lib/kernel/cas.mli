@@ -84,8 +84,9 @@ val verify_manifest : t -> int -> bool
     the sealed value. *)
 
 val register : Machine.t -> t -> unit
-(** Record the machine's store so workloads handed only a machine can
-    find it with {!of_machine}. Mount paths call this. *)
+(** Record the machine's store, in a slot on the machine, so workloads
+    handed only a machine can find it with {!of_machine}. Mount paths call
+    this; the record dies with the machine. *)
 
 val unregister : Machine.t -> unit
 

@@ -2,6 +2,11 @@
     statistics + tracer + profiler. Every stack (Bento, C-VFS, FUSE, ext4)
     runs on one of these. *)
 
+(* A per-machine state slot: a value keyed by its type's identity, so each
+   subsystem (pushdown registry, CAS store, ...) keeps its state on the
+   machine it belongs to and dies with it. *)
+type slot = Slot : 'a Type.Id.t * 'a -> slot
+
 type t = {
   engine : Sim.Engine.t;
   cpu : Sim.Resource.t;
@@ -19,7 +24,13 @@ type t = {
       (** live internal-state probes (bcache residency, lease table, WFQ
           depths, ...), newest first, keyed by name — [inspect] snapshots
           them all *)
+  mutable slots : slot list;  (** per-subsystem state, a handful at most *)
 }
+
+(* Machines created and not yet finalised: a leak shows up as a count
+   that never comes back down. *)
+let live = Atomic.make 0
+let machines_live () = Atomic.get live
 
 let create ?(cost = Cost.default) ?config ~disk_blocks ~block_size () =
   let engine = Sim.Engine.create () in
@@ -31,18 +42,24 @@ let create ?(cost = Cost.default) ?config ~disk_blocks ~block_size () =
   in
   let stats = Sim.Stats.create () in
   let flight = Sim.Flight.create ~cpus:cost.Cost.ncores engine tracer in
-  {
-    engine;
-    cpu = Sim.Resource.create ~name:"cpu" cost.Cost.ncores;
-    cost;
-    disk;
-    stats;
-    tracer;
-    profile;
-    flight;
-    registries = [ ("machine", stats); ("ssd", Device.Ssd.stats disk) ];
-    inspectors = [];
-  }
+  let t =
+    {
+      engine;
+      cpu = Sim.Resource.create ~name:"cpu" cost.Cost.ncores;
+      cost;
+      disk;
+      stats;
+      tracer;
+      profile;
+      flight;
+      registries = [ ("machine", stats); ("ssd", Device.Ssd.stats disk) ];
+      inspectors = [];
+      slots = [];
+    }
+  in
+  Atomic.incr live;
+  Gc.finalise_last (fun () -> Atomic.decr live) t;
+  t
 
 let engine t = t.engine
 let disk t = t.disk
@@ -52,6 +69,32 @@ let tracer t = t.tracer
 let profile t = t.profile
 let flight t = t.flight
 let now t = Sim.Engine.now t.engine
+
+let rec find_in : type a. a Type.Id.t -> slot list -> a option =
+ fun id -> function
+  | [] -> None
+  | Slot (id', v) :: rest -> (
+      match Type.Id.provably_equal id id' with
+      | Some Type.Equal -> Some v
+      | None -> find_in id rest)
+
+let find_slot t id = find_in id t.slots
+
+let remove_slot t id =
+  let uid = Type.Id.uid id in
+  t.slots <- List.filter (fun (Slot (id', _)) -> Type.Id.uid id' <> uid) t.slots
+
+let set_slot t id v =
+  remove_slot t id;
+  t.slots <- Slot (id, v) :: t.slots
+
+let slot t id create =
+  match find_slot t id with
+  | Some v -> v
+  | None ->
+      let v = create () in
+      set_slot t id v;
+      v
 
 (** Run [f] under profiler layer frame [layer] (no-op while profiling is
     disabled). *)
@@ -70,9 +113,10 @@ let register_stats t ~prefix stats = t.registries <- (prefix, stats) :: t.regist
 let register_inspector t ~name probe =
   t.inspectors <- (name, probe) :: t.inspectors
 
-(** Snapshot every registered inspector as one JSON object, name-sorted;
-    a probe that raises reports the exception instead of aborting the
-    dump (inspection must work on a wedged machine). *)
+(** Snapshot every registered inspector, plus the process-wide
+    [machines_live] gauge, as one JSON object, name-sorted; a probe that
+    raises reports the exception instead of aborting the dump (inspection
+    must work on a wedged machine). *)
 let inspect t : Util.Json.t =
   let seen = Hashtbl.create 16 in
   let fields =
@@ -90,6 +134,7 @@ let inspect t : Util.Json.t =
         end)
       t.inspectors
   in
+  let fields = ("machines_live", Util.Json.Int (machines_live ())) :: fields in
   Util.Json.Obj
     (List.sort (fun (a, _) (b, _) -> String.compare a b) fields)
 

@@ -48,9 +48,31 @@ val register_inspector : t -> name:string -> (unit -> Util.Json.t) -> unit
     older probe. *)
 
 val inspect : t -> Util.Json.t
-(** Snapshot every registered inspector as one name-sorted JSON object.
-    A probe that raises contributes an ["error"] object instead of
-    aborting — inspection must work on a wedged machine. *)
+(** Snapshot every registered inspector as one name-sorted JSON object,
+    together with the [machines_live] gauge. A probe that raises
+    contributes an ["error"] object instead of aborting — inspection must
+    work on a wedged machine. *)
+
+val machines_live : unit -> int
+(** Machines created in this process and not yet finalised by the GC. A
+    count that keeps climbing across runs is a leak: something outside a
+    machine still reaches it. *)
+
+(** {1 Per-machine state}
+
+    Subsystems that keep state per machine (the pushdown registry, the CAS
+    store) hold it in a typed slot on the machine itself, keyed by a
+    [Type.Id.t] the subsystem makes once. The state lives exactly as long
+    as the machine: no process-global table reaches it. *)
+
+val slot : t -> 'a Type.Id.t -> (unit -> 'a) -> 'a
+(** The slot's value, created with the function on first use. *)
+
+val find_slot : t -> 'a Type.Id.t -> 'a option
+val set_slot : t -> 'a Type.Id.t -> 'a -> unit
+(** Bind the slot, replacing any earlier value. *)
+
+val remove_slot : t -> 'a Type.Id.t -> unit
 
 val now : t -> int64
 

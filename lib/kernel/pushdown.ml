@@ -43,9 +43,9 @@ let kind_of = function
   | Extent_walk _ -> "extent_walk"
   | Kv_get _ -> "kv_get"
 
-(* Per-machine registry, same idiom as {!Cas}: workloads and layers reach
-   the registry through the machine they already hold. *)
-let registries : (Machine.t * t) list ref = ref []
+(* The registry lives in a slot on its machine: workloads and layers reach
+   it through the machine they already hold, and it dies with the machine. *)
+let key : t Type.Id.t = Type.Id.make ()
 
 let table t =
   List.rev_map
@@ -55,9 +55,7 @@ let table t =
     t.entries
 
 let registry machine =
-  match List.find_opt (fun (m, _) -> m == machine) !registries with
-  | Some (_, t) -> t
-  | None ->
+  Machine.slot machine key (fun () ->
       let t =
         {
           machine;
@@ -69,7 +67,6 @@ let registry machine =
           aborts = Machine.counter machine "pushdown_aborts";
         }
       in
-      registries := (machine, t) :: !registries;
       Machine.register_inspector machine ~name:"pushdown" (fun () ->
           let open Util.Json in
           Obj
@@ -90,7 +87,7 @@ let registry machine =
                          ])
                      (table t)) );
             ]);
-      t
+      t)
 
 let grant t ~client = { c_client = client; c_revoked = false; c_reg = t }
 let revoke cap = cap.c_revoked <- true

@@ -13,10 +13,17 @@ exception Fiber_failure of string * exn
 type fiber = {
   fid : int;
   name : string;
-  mutable dead : bool;
   mutable req : int64;
       (** request context: the causal request id the fiber is working on
           behalf of, inherited by fibers it spawns; 0 = none *)
+  mutable wait_kind : string;
+  mutable wait_name : string;
+      (** what the fiber is suspended on — kind "mutex", name "c-log" —
+          for {!Deadlock} reports; kind "" while it runs or waits
+          anonymously. Formatted only when a report is raised. *)
+  mutable prev : fiber;
+  mutable next : fiber;
+      (** neighbours in the engine's ring of live fibers *)
 }
 
 type t = {
@@ -27,7 +34,9 @@ type t = {
           that elapses up to the event *)
   mutable seq : int;
   mutable next_fid : int;
-  mutable live_fibers : int;
+  live : fiber;
+      (** sentinel of the ring of spawned fibers that have not yet
+          returned or raised — what a {!Deadlock} report walks *)
   mutable running : fiber option;
   mutable failure : (string * exn * Printexc.raw_backtrace) option;
   mutable trace : bool;
@@ -46,16 +55,27 @@ type t = {
 
 type _ Effect.t +=
   | Sleep : int64 -> unit Effect.t
-  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Suspend : string * string * ((unit -> unit) -> unit) -> unit Effect.t
   | Get_engine : t Effect.t
 
 let create () =
+  let rec live =
+    {
+      fid = -1;
+      name = "";
+      req = 0L;
+      wait_kind = "";
+      wait_name = "";
+      prev = live;
+      next = live;
+    }
+  in
   {
     now = 0L;
     events = Heap.create ();
     seq = 0;
     next_fid = 0;
-    live_fibers = 0;
+    live;
     running = None;
     failure = None;
     trace = false;
@@ -106,6 +126,11 @@ let schedule_owned t ~fid time f =
 let schedule_at t time f = schedule_owned t ~fid:(-1) time f
 let schedule_after t delay f = schedule_at t (Int64.add t.now delay) f
 
+(* A fiber leaves the live ring when its body returns or raises. *)
+let exit_fiber fiber =
+  fiber.prev.next <- fiber.next;
+  fiber.next.prev <- fiber.prev
+
 (* Run [f] as a fiber body under the engine's effect handler. *)
 let start_fiber t fiber f =
   let open Effect.Deep in
@@ -119,12 +144,10 @@ let start_fiber t fiber f =
              (match t.on_fiber_exit with
              | Some hook -> hook fiber.fid
              | None -> ());
-             fiber.dead <- true;
-             t.live_fibers <- t.live_fibers - 1);
+             exit_fiber fiber);
          exnc =
            (fun exn ->
-             fiber.dead <- true;
-             t.live_fibers <- t.live_fibers - 1;
+             exit_fiber fiber;
              if t.failure = None then
                t.failure <- Some (fiber.name, exn, Printexc.get_raw_backtrace ()));
          effc =
@@ -139,15 +162,18 @@ let start_fiber t fiber f =
                          t.running <- Some fiber;
                          continue k ();
                          t.running <- saved'))
-             | Suspend register ->
+             | Suspend (kind, name, register) ->
                  Some
                    (fun (k : (a, _) continuation) ->
+                     fiber.wait_kind <- kind;
+                     fiber.wait_name <- name;
                      let fired = ref false in
                      register (fun () ->
                          if !fired then
                            invalid_arg "Engine: waker invoked twice";
                          fired := true;
                          schedule_owned t ~fid:fiber.fid t.now (fun () ->
+                             fiber.wait_kind <- "";
                              let saved' = t.running in
                              t.running <- Some fiber;
                              continue k ();
@@ -162,16 +188,23 @@ let start_fiber t fiber f =
 
 let spawn ?(name = "fiber") t f =
   let req = match t.running with Some f -> f.req | None -> 0L in
-  let fiber = { fid = t.next_fid; name; dead = false; req } in
+  let live = t.live in
+  let fiber =
+    {
+      fid = t.next_fid;
+      name;
+      req;
+      wait_kind = "";
+      wait_name = "";
+      prev = live.prev;
+      next = live;
+    }
+  in
+  live.prev.next <- fiber;
+  live.prev <- fiber;
   t.next_fid <- t.next_fid + 1;
-  t.live_fibers <- t.live_fibers + 1;
   schedule_owned t ~fid:fiber.fid t.now (fun () -> start_fiber t fiber f);
   fiber
-
-(* Debug support: record what each blocked fiber is waiting on so that a
-   Deadlock error can say something useful. The registry is global and
-   fiber-keyed; fibers update it around their suspensions. *)
-let blocked_reasons : (int, string) Hashtbl.t = Hashtbl.create 64
 
 let check_failure t =
   match t.failure with
@@ -196,15 +229,23 @@ let run t =
         loop ()
   in
   loop ();
-  if t.live_fibers > 0 then begin
-    let details =
-      Hashtbl.fold (fun _ v acc -> v :: acc) blocked_reasons []
-      |> List.sort compare |> String.concat "; "
+  if t.live.next != t.live then begin
+    let rec scan f n acc =
+      if f == t.live then (n, acc)
+      else if f.wait_kind = "" then scan f.next (n + 1) acc
+      else
+        let reason =
+          if f.wait_name = "" then f.wait_kind
+          else f.wait_kind ^ " " ^ f.wait_name
+        in
+        scan f.next (n + 1)
+          (Printf.sprintf "%s#%d waiting on %s" f.name f.fid reason :: acc)
     in
+    let n, reasons = scan t.live.next 0 [] in
     raise
       (Deadlock
-         (Printf.sprintf "%d fiber(s) still blocked at t=%Ldns [%s]"
-            t.live_fibers t.now details))
+         (Printf.sprintf "%d fiber(s) still blocked at t=%Ldns [%s]" n t.now
+            (reasons |> List.sort compare |> String.concat "; ")))
   end
 
 (** Run events up to and including virtual time [deadline]. Events after the
@@ -244,21 +285,12 @@ let yield () = Effect.perform (Sleep 0L)
 (** [suspend register] blocks the current fiber. [register] receives a waker
     which, when invoked (exactly once), reschedules the fiber at the waking
     moment. *)
-let suspend register = Effect.perform (Suspend register)
+let suspend register = Effect.perform (Suspend ("", "", register))
 
-let note_blocked reason =
-  let t = Effect.perform Get_engine in
-  match t.running with
-  | Some f ->
-      Hashtbl.replace blocked_reasons f.fid
-        (Printf.sprintf "%s#%d waiting on %s" f.name f.fid reason)
-  | None -> ()
-
-let clear_blocked () =
-  let t = Effect.perform Get_engine in
-  match t.running with
-  | Some f -> Hashtbl.remove blocked_reasons f.fid
-  | None -> ()
+(** [suspend], recording what the fiber waits on until it is woken so that
+    a {!Deadlock} report can name it. *)
+let wait kind name register =
+  Effect.perform (Suspend (kind, name, register))
 
 let now_here () = (self_engine ()).now
 

@@ -112,11 +112,12 @@ val now_here : unit -> int64
 
 (** {1 Blocked-fiber diagnostics} *)
 
-val note_blocked : string -> unit
-(** Record what the calling fiber is about to wait on (shown by
-    {!Deadlock}). Called by the [Sync] primitives around suspension. *)
-
-val clear_blocked : unit -> unit
+val wait : string -> string -> ((unit -> unit) -> unit) -> unit
+(** [wait kind name register] is {!suspend}, with what the calling fiber
+    waits on — [kind] "mutex", [name] "c-log" ("" for none) — kept on the
+    fiber until it is woken. {!Deadlock} lists this for the engine's own
+    blocked fibers; nothing is formatted on the blocking path. Called by
+    the [Sync] and {!Resource} primitives. *)
 
 val note_lock_wait : string -> int64 -> unit
 (** Report a measured lock wait to the calling fiber's engine hook (no-op

@@ -26,9 +26,7 @@ let acquire t =
   if t.in_use < t.capacity && Queue.is_empty t.waiters then
     t.in_use <- t.in_use + 1
   else begin
-    Engine.note_blocked ("resource " ^ t.name);
-    Engine.suspend (fun w -> Queue.push w t.waiters);
-    Engine.clear_blocked ()
+    Engine.wait "resource" t.name (fun w -> Queue.push w t.waiters)
   end;
   t.admissions <- t.admissions + 1
 

@@ -32,10 +32,8 @@ module Mutex = struct
     if not m.locked then m.locked <- true
     else begin
       m.contended <- m.contended + 1;
-      Engine.note_blocked ("mutex " ^ m.name);
       let t0 = Engine.now_here () in
-      Engine.suspend (fun waker -> Queue.push waker m.waiters);
-      Engine.clear_blocked ();
+      Engine.wait "mutex" m.name (fun waker -> Queue.push waker m.waiters);
       (* Ownership is handed to us directly by [unlock]; [locked] stays true. *)
       let dt = Int64.sub (Engine.now_here ()) t0 in
       m.wait_ns <- Int64.add m.wait_ns dt;
@@ -81,11 +79,9 @@ module Condvar = struct
 
   (** Atomically release [m], wait for a signal, then re-acquire [m]. *)
   let wait t m =
-    Engine.note_blocked "condvar";
-    Engine.suspend (fun waker ->
+    Engine.wait "condvar" "" (fun waker ->
         Queue.push waker t.waiters;
         Mutex.unlock m);
-    Engine.clear_blocked ();
     Mutex.lock m
 
   let signal t =
@@ -114,9 +110,7 @@ module Semaphore = struct
   let acquire t =
     if t.count > 0 then t.count <- t.count - 1
     else begin
-      Engine.note_blocked "semaphore";
-      Engine.suspend (fun waker -> Queue.push waker t.waiters);
-      Engine.clear_blocked ()
+      Engine.wait "semaphore" "" (fun waker -> Queue.push waker t.waiters)
     end
 
   let try_acquire t =
@@ -166,10 +160,9 @@ module Rwlock = struct
     if (not t.writer) && Queue.is_empty t.waiters then
       t.readers <- t.readers + 1
     else begin
-      Engine.note_blocked ("rwlock(r) " ^ t.name);
       let t0 = Engine.now_here () in
-      Engine.suspend (fun waker -> Queue.push (Reader waker) t.waiters);
-      Engine.clear_blocked ();
+      Engine.wait "rwlock(r)" t.name (fun waker ->
+          Queue.push (Reader waker) t.waiters);
       Engine.note_lock_wait t.name (Int64.sub (Engine.now_here ()) t0)
     end
 
@@ -182,10 +175,9 @@ module Rwlock = struct
     if t.readers = 0 && (not t.writer) && Queue.is_empty t.waiters then
       t.writer <- true
     else begin
-      Engine.note_blocked ("rwlock(w) " ^ t.name);
       let t0 = Engine.now_here () in
-      Engine.suspend (fun waker -> Queue.push (Writer waker) t.waiters);
-      Engine.clear_blocked ();
+      Engine.wait "rwlock(w)" t.name (fun waker ->
+          Queue.push (Writer waker) t.waiters);
       Engine.note_lock_wait t.name (Int64.sub (Engine.now_here ()) t0)
     end
 
@@ -236,9 +228,7 @@ module Ivar = struct
     match t.state with
     | Full v -> v
     | Empty q -> (
-        Engine.note_blocked "ivar";
-        Engine.suspend (fun waker -> Queue.push waker q);
-        Engine.clear_blocked ();
+        Engine.wait "ivar" "" (fun waker -> Queue.push waker q);
         match t.state with
         | Full v -> v
         | Empty _ -> assert false)

@@ -33,4 +33,5 @@ let () =
       ("cas", Test_cas.suite);
       ("pushdown", Test_pushdown.suite);
       ("check", Test_check.suite);
+      ("lifetime", Test_lifetime.suite);
     ]

@@ -220,9 +220,68 @@ let test_read_views_immutable () =
       | None -> Alcotest.fail "flushed block missing from crash_view");
       Alcotest.(check bytes) "device now" (block 'b') (Device.Ssd.read d 5))
 
+(* An all-zero payload is stored as the device's shared zero block. The
+   sequence zero -> nonzero -> zero on one block must read, snapshot and
+   count exactly as with a private copy per write, whatever the caller
+   later does to its buffers. *)
+let test_zero_block_copy_semantics () =
+  with_dev (fun _e d ->
+      let view_block view =
+        match view.(9) with Some b -> b | None -> block '\000'
+      in
+      let z = block '\000' in
+      Device.Ssd.write d 9 z;
+      Bytes.fill z 0 4096 'Z';
+      Alcotest.(check int) "zero write is dirty" 1 (Device.Ssd.dirty_blocks d);
+      Alcotest.(check bytes) "zero read back" (block '\000') (Device.Ssd.read d 9);
+      let v0 = Device.Ssd.crash_view d in
+      Alcotest.(check bool) "unflushed zero not durable" true (v0.(9) = None);
+      Device.Ssd.flush d;
+      let v1 = Device.Ssd.crash_view d in
+      Alcotest.(check int) "flushed" 0 (Device.Ssd.dirty_blocks d);
+      let a = block 'a' in
+      Device.Ssd.write d 9 a;
+      Bytes.fill a 0 4096 '\000';
+      Alcotest.(check bytes) "nonzero read back" (block 'a') (Device.Ssd.read d 9);
+      Alcotest.(check int) "nonzero write is dirty" 1 (Device.Ssd.dirty_blocks d);
+      Device.Ssd.flush d;
+      let v2 = Device.Ssd.crash_view d in
+      Device.Ssd.write d 9 (block '\000');
+      Alcotest.(check bytes) "zero again" (block '\000') (Device.Ssd.read d 9);
+      Alcotest.(check bytes) "stable still nonzero" (block 'a')
+        (Device.Ssd.Offline.stable_read d 9);
+      Device.Ssd.flush d;
+      let v3 = Device.Ssd.crash_view d in
+      Alcotest.(check bytes) "snapshot after first flush" (block '\000')
+        (view_block v1);
+      Alcotest.(check bytes) "snapshot after nonzero flush" (block 'a')
+        (view_block v2);
+      Alcotest.(check bytes) "snapshot after zero flush" (block '\000')
+        (view_block v3);
+      Alcotest.(check int) "clean" 0 (Device.Ssd.dirty_blocks d);
+      Device.Ssd.Offline.write d 10 (block '\000');
+      Alcotest.(check bytes) "offline zero" (block '\000')
+        (Device.Ssd.Offline.read d 10);
+      Device.Ssd.check_invariants d)
+
+(* A caller that writes into a read view of a never-written block writes
+   into the one zero block every such read shares: the invariant check
+   must see it. *)
+let test_zero_block_mutation_detected () =
+  with_dev (fun _e d ->
+      Device.Ssd.check_invariants d;
+      let view = Device.Ssd.read d 3 in
+      Bytes.set view 17 'x';
+      match Device.Ssd.check_invariants d with
+      | () -> Alcotest.fail "mutated zero block went unnoticed"
+      | exception Failure _ -> ())
+
 let suite =
   [
     tc "read views immutable" `Quick test_read_views_immutable;
+    tc "zero block keeps copy semantics" `Quick test_zero_block_copy_semantics;
+    tc "zero block mutation detected" `Quick
+      test_zero_block_mutation_detected;
     tc "write/read roundtrip" `Quick test_write_read_roundtrip;
     tc "overflow drain is FIFO" `Quick test_drain_overflow_fifo;
     tc "contiguous command batching" `Quick test_contig_cheaper_than_scattered;
