@@ -921,7 +921,7 @@ let bechamel () =
     Test.make ~name:"sim-heap push/pop x1000" (Staged.stage (fun () ->
         let h = Sim.Heap.create () in
         for i = 0 to 999 do
-          Sim.Heap.push h ~time:(Int64.of_int (i * 37 mod 997)) ~seq:i i
+          Sim.Heap.push h ~time:(Int64.of_int (i * 37 mod 997)) ~seq:i ~owner:i ignore
         done;
         while not (Sim.Heap.is_empty h) do
           ignore (Sim.Heap.pop h)

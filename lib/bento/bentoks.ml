@@ -138,8 +138,9 @@ module type KSERVICES = sig
     val broadcast : t -> unit
   end
 
-  (** Counters for fs-side statistics. *)
   val counter : string -> unit -> unit
+  (** Counters for fs-side statistics: [counter name] looks the machine
+      counter up once and returns its increment. *)
 
   val counter_add : string -> int -> unit
   (** Add to a machine counter by name (e.g. journal commit block counts). *)
@@ -328,7 +329,9 @@ let kernel_services ?nblocks_cap (machine : Kernel.Machine.t)
       let broadcast = Sim.Sync.Condvar.broadcast
     end
 
-    let counter name () = Sim.Stats.Counter.incr (Sim.Stats.counter stats name)
+    let counter name =
+      let c = Sim.Stats.lazy_counter stats name in
+      fun () -> Sim.Stats.bump c
 
     let counter_add name n =
       Sim.Stats.Counter.incr ~by:n (Sim.Stats.counter stats name)

@@ -140,7 +140,9 @@ let user_services ?nblocks_cap (machine : Kernel.Machine.t)
       let broadcast = Sim.Sync.Condvar.broadcast
     end
 
-    let counter name () = Sim.Stats.Counter.incr (Sim.Stats.counter stats name)
+    let counter name =
+      let c = Sim.Stats.lazy_counter stats name in
+      fun () -> Sim.Stats.bump c
 
     let counter_add name n =
       Sim.Stats.Counter.incr ~by:n (Sim.Stats.counter stats name)

@@ -67,6 +67,12 @@ type t = {
   profile : Sim.Profile.t;  (** owns the "device-queue"/"device-io" frames *)
   read_lat : Sim.Stats.Histogram.t;  (** command service incl. queueing *)
   write_lat : Sim.Stats.Histogram.t;
+  read_cmds : Sim.Stats.Counter.t Lazy.t;
+  blocks_read : Sim.Stats.Counter.t Lazy.t;
+  write_cmds : Sim.Stats.Counter.t Lazy.t;
+  blocks_written : Sim.Stats.Counter.t Lazy.t;
+  flushes : Sim.Stats.Counter.t Lazy.t;
+  flush_lat : Sim.Stats.Histogram.t Lazy.t;
   mutable failed : bool;  (** set by [crash]: all subsequent I/O fails *)
   mutable stable_epoch : int;  (** bumped whenever stable contents change *)
   mutable on_command : (cmd -> unit) option;
@@ -98,6 +104,12 @@ let create ?(config = default_config) ?tracer ?profile ~nblocks ~block_size
       (match profile with Some p -> p | None -> Sim.Profile.create engine);
     read_lat = Sim.Stats.histogram stats "cmd_read_lat";
     write_lat = Sim.Stats.histogram stats "cmd_write_lat";
+    read_cmds = Sim.Stats.lazy_counter stats "read_cmds";
+    blocks_read = Sim.Stats.lazy_counter stats "blocks_read";
+    write_cmds = Sim.Stats.lazy_counter stats "write_cmds";
+    blocks_written = Sim.Stats.lazy_counter stats "blocks_written";
+    flushes = Sim.Stats.lazy_counter stats "flushes";
+    flush_lat = lazy (Sim.Stats.histogram stats "cmd_flush_lat");
     failed = false;
     stable_epoch = 0;
     on_command = None;
@@ -122,8 +134,6 @@ let stats t = t.stats
 let check t block =
   if t.failed then raise Device_failed;
   if block < 0 || block >= t.nblocks then raise (Out_of_range block)
-
-let counter t name = Sim.Stats.counter t.stats name
 
 let xfer_time ~base ~bw ~bytes =
   Int64.add base (Sim.Time.of_bandwidth ~bytes ~bytes_per_sec:bw)
@@ -174,8 +184,8 @@ let own t data = if Bytes.equal data t.zero then t.zero else Bytes.copy data
 let read_cmd t ~start ~count =
   check t start;
   check t (start + count - 1);
-  Sim.Stats.Counter.incr (counter t "read_cmds");
-  Sim.Stats.Counter.incr ~by:count (counter t "blocks_read");
+  Sim.Stats.bump t.read_cmds;
+  Sim.Stats.bump ~by:count t.blocks_read;
   let bytes = count * t.block_size in
   let dur = xfer_time ~base:t.config.read_base ~bw:t.config.read_bw ~bytes in
   Sim.Trace.span_begin t.tracer ~cat:"device" "ssd:read";
@@ -230,8 +240,8 @@ let write_cmd t ~start bufs =
   let count = Array.length bufs in
   check t start;
   check t (start + count - 1);
-  Sim.Stats.Counter.incr (counter t "write_cmds");
-  Sim.Stats.Counter.incr ~by:count (counter t "blocks_written");
+  Sim.Stats.bump t.write_cmds;
+  Sim.Stats.bump ~by:count t.blocks_written;
   let bytes = count * t.block_size in
   let dur = xfer_time ~base:t.config.write_base ~bw:t.config.write_bw ~bytes in
   Sim.Trace.span_begin t.tracer ~cat:"device" "ssd:write";
@@ -325,7 +335,7 @@ let flush t =
       (* Lock contention counts as queueing; the drain itself as I/O. *)
       Sim.Profile.with_frame t.profile "device-queue" (fun () ->
           Sim.Sync.Mutex.with_lock t.flush_lock (fun () ->
-              Sim.Stats.Counter.incr (counter t "flushes");
+              Sim.Stats.bump t.flushes;
               let dirty = Hashtbl.length t.volatile in
               let bytes = dirty * t.block_size in
               let dur =
@@ -335,8 +345,7 @@ let flush t =
               in
               Sim.Profile.with_frame t.profile "device-io" (fun () ->
                   Sim.Engine.sleep dur);
-              Sim.Stats.Histogram.record
-                (Sim.Stats.histogram t.stats "cmd_flush_lat") dur;
+              Sim.Stats.Histogram.record (Lazy.force t.flush_lat) dur;
               if t.failed then raise Device_failed;
               if Hashtbl.length t.volatile > 0 then begin
                 Hashtbl.iter

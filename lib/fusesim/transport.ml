@@ -17,6 +17,8 @@ type t = {
   crossings : Sim.Stats.Counter.t;
       (** machine-wide user/kernel crossing count, one per direction —
           the paper's explanatory metric for FUSE overhead *)
+  n_requests : Sim.Stats.Counter.t Lazy.t;
+  n_replies : Sim.Stats.Counter.t Lazy.t;
 }
 
 exception Connection_closed
@@ -35,11 +37,12 @@ let create machine =
     tracer = Kernel.Machine.tracer machine;
     rtt = Kernel.Machine.histogram machine "fuse_rtt";
     crossings = Kernel.Machine.counter machine "fuse_crossings";
+    n_requests = Sim.Stats.lazy_counter stats "requests";
+    n_replies = Sim.Stats.lazy_counter stats "replies";
   }
 
 let machine t = t.machine
 let stats t = t.stats
-let incr t name = Sim.Stats.Counter.incr (Sim.Stats.counter t.stats name)
 
 let fresh_unique t =
   let u = t.next_unique in
@@ -57,7 +60,7 @@ let call t (req : Proto.request) : Proto.reply =
   if t.closed then raise Connection_closed;
   let unique = fresh_unique t in
   let msg = Proto.encode_request ~unique req in
-  incr t "requests";
+  Sim.Stats.bump t.n_requests;
   Sim.Stats.Counter.incr t.crossings;
   (* The crossing charge runs under the "fuse-transport" frame; the wait
      for the reply is attributed to whatever the daemon is doing. *)
@@ -87,7 +90,7 @@ let next t : Bytes.t option =
 (** Daemon side: reply to a request by unique id. *)
 let reply t ~unique (r : Proto.reply) =
   let msg = Proto.encode_reply ~unique r in
-  incr t "replies";
+  Sim.Stats.bump t.n_replies;
   Sim.Stats.Counter.incr t.crossings;
   Kernel.Machine.with_layer t.machine "fuse-transport" (fun () ->
       charge_crossing t (Bytes.length msg));

@@ -26,22 +26,30 @@ type t = {
   mutable lru_head : buf option;  (** least recently released *)
   mutable lru_tail : buf option;  (** most recently released *)
   stats : Sim.Stats.t;
+  hits : Sim.Stats.Counter.t Lazy.t;
+  misses : Sim.Stats.Counter.t Lazy.t;
+  evictions : Sim.Stats.Counter.t Lazy.t;
+  raw_reads : Sim.Stats.Counter.t Lazy.t;
 }
 
 exception No_buffers
 
 let create ?(capacity = 8192) ufile =
+  let stats = Sim.Stats.create () in
   {
     ufile;
     capacity;
     table = Hashtbl.create (2 * capacity);
     lru_head = None;
     lru_tail = None;
-    stats = Sim.Stats.create ();
+    stats;
+    hits = Sim.Stats.lazy_counter stats "hits";
+    misses = Sim.Stats.lazy_counter stats "misses";
+    evictions = Sim.Stats.lazy_counter stats "evictions";
+    raw_reads = Sim.Stats.lazy_counter stats "raw_reads";
   }
 
 let stats t = t.stats
-let incr t name = Sim.Stats.Counter.incr (Sim.Stats.counter t.stats name)
 
 (* A buffer is on the free list iff its refcount is zero. *)
 
@@ -78,18 +86,18 @@ let evict_one t =
   let b = first t.lru_head in
   lru_remove t b;
   Hashtbl.remove t.table b.block;
-  incr t "evictions";
+  Sim.Stats.bump t.evictions;
   b
 
 let getbuf t block =
   match Hashtbl.find_opt t.table block with
   | Some b ->
-      incr t "hits";
+      Sim.Stats.bump t.hits;
       if b.refcount = 0 then lru_remove t b;
       b.refcount <- b.refcount + 1;
       b
   | None ->
-      incr t "misses";
+      Sim.Stats.bump t.misses;
       let data =
         if Hashtbl.length t.table >= t.capacity then (evict_one t).data
         else Bytes.make (Ufile.block_size t.ufile) '\000'
@@ -137,7 +145,7 @@ let raw_write t block data = Ufile.pwrite_block t.ufile block data
 (* Read a block without admitting it to the cache: CAS blocks are cached
    once in the shared-page table instead. *)
 let raw_read t block =
-  incr t "raw_reads";
+  Sim.Stats.bump t.raw_reads;
   Ufile.pread_block t.ufile block
 
 let brelse t b =

@@ -15,20 +15,26 @@ type t = {
   disk : Device.Ssd.t;
   nominal_gb : int;  (** size of the disk file the paper used: 512 GB *)
   stats : Sim.Stats.t;
+  preads : Sim.Stats.Counter.t Lazy.t;
+  pwrites : Sim.Stats.Counter.t Lazy.t;
+  fsyncs : Sim.Stats.Counter.t Lazy.t;
 }
 
 let create ?(nominal_gb = 512) machine =
+  let stats = Sim.Stats.create () in
   {
     machine;
     disk = Kernel.Machine.disk machine;
     nominal_gb;
-    stats = Sim.Stats.create ();
+    stats;
+    preads = Sim.Stats.lazy_counter stats "preads";
+    pwrites = Sim.Stats.lazy_counter stats "pwrites";
+    fsyncs = Sim.Stats.lazy_counter stats "fsyncs";
   }
 
 let block_size t = Device.Ssd.block_size t.disk
 let nblocks t = Device.Ssd.nblocks t.disk
 let stats t = t.stats
-let incr t name = Sim.Stats.Counter.incr (Sim.Stats.counter t.stats name)
 
 let charge_block_io t =
   let c = Kernel.Machine.cost t.machine in
@@ -37,20 +43,20 @@ let charge_block_io t =
 
 (** pread(2) of one aligned block with O_DIRECT. *)
 let pread_block t blk : Bytes.t =
-  incr t "preads";
+  Sim.Stats.bump t.preads;
   charge_block_io t;
   Device.Ssd.read t.disk blk
 
 (** pwrite(2) of one aligned block with O_DIRECT. *)
 let pwrite_block t blk data =
-  incr t "pwrites";
+  Sim.Stats.bump t.pwrites;
   charge_block_io t;
   Device.Ssd.write t.disk blk data
 
 (** fsync(2) on the whole disk file: mapping walk over the nominal file
     size, then the device flush. *)
 let fsync_disk t =
-  incr t "fsyncs";
+  Sim.Stats.bump t.fsyncs;
   let c = Kernel.Machine.cost t.machine in
   Kernel.Machine.cpu_work t.machine c.Kernel.Cost.syscall;
   (* The kernel walks the whole file's mapping: no way to sync a range. *)

@@ -49,6 +49,12 @@ type shard = {
   mutable lru_head : buf option;  (** least recently released *)
   mutable lru_tail : buf option;  (** most recently released *)
   sstats : Sim.Stats.t;
+  hits : Sim.Stats.Counter.t Lazy.t;
+  misses : Sim.Stats.Counter.t Lazy.t;
+  evictions : Sim.Stats.Counter.t Lazy.t;
+  writeback_evictions : Sim.Stats.Counter.t Lazy.t;
+  disk_reads : Sim.Stats.Counter.t Lazy.t;
+  disk_writes : Sim.Stats.Counter.t Lazy.t;
 }
 
 type t = {
@@ -59,6 +65,9 @@ type t = {
   nshards : int;
   shards : shard array;
   gstats : Sim.Stats.t;  (** whole-cache ops: flushes, raw writes *)
+  raw_reads : Sim.Stats.Counter.t Lazy.t;
+  raw_writes : Sim.Stats.Counter.t Lazy.t;
+  flushes : Sim.Stats.Counter.t Lazy.t;
   merged : Sim.Stats.t;  (** refreshed snapshot returned by {!stats} *)
 }
 
@@ -90,6 +99,12 @@ let create ?(capacity = 8192) ?shards machine =
       lru_head = None;
       lru_tail = None;
       sstats;
+      hits = Sim.Stats.lazy_counter sstats "hits";
+      misses = Sim.Stats.lazy_counter sstats "misses";
+      evictions = Sim.Stats.lazy_counter sstats "evictions";
+      writeback_evictions = Sim.Stats.lazy_counter sstats "writeback_evictions";
+      disk_reads = Sim.Stats.lazy_counter sstats "disk_reads";
+      disk_writes = Sim.Stats.lazy_counter sstats "disk_writes";
     }
   in
   let gstats = Sim.Stats.create () in
@@ -103,6 +118,9 @@ let create ?(capacity = 8192) ?shards machine =
       nshards;
       shards = Array.init nshards mk;
       gstats;
+      raw_reads = Sim.Stats.lazy_counter gstats "raw_reads";
+      raw_writes = Sim.Stats.lazy_counter gstats "raw_writes";
+      flushes = Sim.Stats.lazy_counter gstats "flushes";
       merged = Sim.Stats.create ();
     }
   in
@@ -129,12 +147,6 @@ let create ?(capacity = 8192) ?shards machine =
 
 let shard_of t block = t.shards.(block mod t.nshards)
 let block_size t = Device.Ssd.block_size t.dev
-let incr_s s name = Sim.Stats.Counter.incr (Sim.Stats.counter s.sstats name)
-
-let incr_by_s s name n =
-  Sim.Stats.Counter.incr ~by:n (Sim.Stats.counter s.sstats name)
-
-let incr_g t name = Sim.Stats.Counter.incr (Sim.Stats.counter t.gstats name)
 
 (** Whole-cache statistics: the per-shard counters summed by name into a
     stable registry, refreshed on every call. *)
@@ -209,7 +221,7 @@ let rec evict_one t s =
       if not b.dirty then begin
         Hashtbl.remove s.table b.block;
         Sim.Trace.instant t.tracer ~cat:"bcache" "bcache:evict";
-        incr_s s "evictions";
+        Sim.Stats.bump s.evictions;
         b.data
       end
       else begin
@@ -219,7 +231,7 @@ let rec evict_one t s =
         if b.dirty then begin
           Device.Ssd.write t.dev b.block b.data;
           b.dirty <- false;
-          incr_s s "writeback_evictions"
+          Sim.Stats.bump s.writeback_evictions
         end;
         Sim.Sync.Mutex.unlock b.lock;
         Sim.Sync.Mutex.lock s.slock;
@@ -227,7 +239,7 @@ let rec evict_one t s =
         if b.refcount = 0 then begin
           Hashtbl.remove s.table b.block;
           Sim.Trace.instant t.tracer ~cat:"bcache" "bcache:evict";
-          incr_s s "evictions";
+          Sim.Stats.bump s.evictions;
           b.data
         end
         else
@@ -249,14 +261,14 @@ let getbuf t block =
       let rec find spare =
         match Hashtbl.find_opt s.table block with
         | Some b ->
-            incr_s s "hits";
+            Sim.Stats.bump s.hits;
             Sim.Trace.instant t.tracer ~cat:"bcache" "bcache:hit";
             ref_inc s b;
             b
         | None ->
             if Hashtbl.length s.table >= s.cap then find (Some (evict_one t s))
             else begin
-              incr_s s "misses";
+              Sim.Stats.bump s.misses;
               Sim.Trace.instant t.tracer ~cat:"bcache" "bcache:miss";
               let b =
                 {
@@ -294,7 +306,7 @@ let bread t block =
         let data = Device.Ssd.read t.dev block in
         Bytes.blit data 0 b.data 0 (Bytes.length data);
         b.valid <- true;
-        incr_s (shard_of t block) "disk_reads"
+        Sim.Stats.bump (shard_of t block).disk_reads
       end;
       b)
 
@@ -331,7 +343,7 @@ let bread_scatter t blocks =
                  b.valid <- true)
                missing pairs;
              (match missing with
-             | m :: _ -> incr_by_s (shard_of t m.block) "disk_reads" cmds
+             | m :: _ -> Sim.Stats.bump ~by:cmds (shard_of t m.block).disk_reads
              | [] -> ())
          | exception e ->
              (* Release everything we hold before propagating. *)
@@ -369,7 +381,7 @@ let bwrite t b =
   layer t (fun () ->
       Device.Ssd.write t.dev b.block b.data;
       b.dirty <- false;
-      incr_s (shard_of t b.block) "disk_writes")
+      Sim.Stats.bump (shard_of t b.block).disk_writes)
 
 (** Write a set of held buffers with maximum parallelism: sort and merge
     adjacent block numbers into contiguous commands and dispatch the
@@ -389,7 +401,7 @@ let bwrite_scatter t bufs =
             Bio.write_scatter t.dev (List.map (fun b -> (b.block, b.data)) bufs)
           in
           List.iter (fun b -> b.dirty <- false) bufs;
-          incr_by_s (shard_of t first.block) "disk_writes" cmds)
+          Sim.Stats.bump ~by:cmds (shard_of t first.block).disk_writes)
 
 (** Write several held buffers as one contiguous device command when their
     block numbers are consecutive (sorted by block); otherwise fall back
@@ -417,7 +429,7 @@ let bwrite_contig t bufs =
             Device.Ssd.write_contig t.dev ~start:first.block
               (Array.map (fun b -> b.data) arr);
             Array.iter (fun b -> b.dirty <- false) arr;
-            incr_s (shard_of t first.block) "disk_writes")
+            Sim.Stats.bump (shard_of t first.block).disk_writes)
       else bwrite_scatter t bufs
 
 (** Mark dirty without writing; the owner (e.g. the log) will write later. *)
@@ -466,7 +478,7 @@ let bunpin_block t block =
 let raw_write t block data =
   layer t (fun () ->
       Device.Ssd.write t.dev block data;
-      incr_g t "raw_writes")
+      Sim.Stats.bump t.raw_writes)
 
 (** Scatter version of {!raw_write}: install many committed (block, data)
     pairs at once, merged into contiguous commands and dispatched
@@ -477,8 +489,7 @@ let raw_write_scatter t pairs =
   | _ ->
       layer t (fun () ->
           ignore (Bio.write_scatter t.dev pairs);
-          Sim.Stats.Counter.incr ~by:(List.length pairs)
-            (Sim.Stats.counter t.gstats "raw_writes"))
+          Sim.Stats.bump ~by:(List.length pairs) t.raw_writes)
 
 (** Read a block straight from the device without admitting it to the
     cache — the CAS store's dedup-aware admission policy: content-addressed
@@ -487,7 +498,7 @@ let raw_write_scatter t pairs =
 let raw_read t block =
   layer t (fun () ->
       let data = Device.Ssd.read t.dev block in
-      incr_g t "raw_reads";
+      Sim.Stats.bump t.raw_reads;
       data)
 
 (** Scatter version of {!raw_read}: fetch many blocks, merged into
@@ -500,15 +511,14 @@ let raw_read_scatter t blocks =
   | _ ->
       layer t (fun () ->
           let pairs, _cmds = Bio.read_scatter t.dev blocks in
-          Sim.Stats.Counter.incr ~by:(List.length blocks)
-            (Sim.Stats.counter t.gstats "raw_reads");
+          Sim.Stats.bump ~by:(List.length blocks) t.raw_reads;
           pairs)
 
 (** Durability barrier on the underlying device. *)
 let flush t =
   layer t (fun () ->
       Device.Ssd.flush t.dev;
-      incr_g t "flushes")
+      Sim.Stats.bump t.flushes)
 
 let cached_blocks t =
   Array.fold_left (fun n s -> n + Hashtbl.length s.table) 0 t.shards

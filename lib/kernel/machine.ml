@@ -53,7 +53,18 @@ let create ?(cost = Cost.default) ?config ~disk_blocks ~block_size () =
       profile;
       flight;
       registries = [ ("machine", stats); ("ssd", Device.Ssd.stats disk) ];
-      inspectors = [];
+      inspectors =
+        [
+          ( "machine",
+            fun () ->
+              Util.Json.Obj
+                [
+                  ( "events_dispatched",
+                    Util.Json.Int (Sim.Engine.events_dispatched engine) );
+                  ( "in_place_advances",
+                    Util.Json.Int (Sim.Engine.in_place_advances engine) );
+                ] );
+        ];
       slots = [];
     }
   in

@@ -49,7 +49,9 @@ val register_inspector : t -> name:string -> (unit -> Util.Json.t) -> unit
 
 val inspect : t -> Util.Json.t
 (** Snapshot every registered inspector as one name-sorted JSON object,
-    together with the [machines_live] gauge. A probe that raises
+    together with the [machines_live] gauge. The built-in ["machine"]
+    probe reports the engine's scheduler work: [events_dispatched] and
+    [in_place_advances] (see {!Sim.Engine.sleep}). A probe that raises
     contributes an ["error"] object instead of aborting — inspection must
     work on a wedged machine. *)
 

@@ -186,6 +186,41 @@ type cas_ops = {
       (** resident (hash, refcount) table, for the accounting oracle *)
 }
 
+(* The counters of [t.stats] the page cache bumps, resolved once. *)
+type counters = {
+  page_hits : Sim.Stats.Counter.t Lazy.t;
+  page_misses : Sim.Stats.Counter.t Lazy.t;
+  page_waits : Sim.Stats.Counter.t Lazy.t;
+  page_reclaims : Sim.Stats.Counter.t Lazy.t;
+  dcache_hits : Sim.Stats.Counter.t Lazy.t;
+  dcache_misses : Sim.Stats.Counter.t Lazy.t;
+  readahead_pages : Sim.Stats.Counter.t Lazy.t;
+  wb_calls : Sim.Stats.Counter.t Lazy.t;
+  wb_pages : Sim.Stats.Counter.t Lazy.t;
+  wb_errors : Sim.Stats.Counter.t Lazy.t;
+  dirty_throttles : Sim.Stats.Counter.t Lazy.t;
+  cas_cow_breaks : Sim.Stats.Counter.t Lazy.t;
+  fsyncs : Sim.Stats.Counter.t Lazy.t;
+}
+
+let counters stats =
+  let c = Sim.Stats.lazy_counter stats in
+  {
+    page_hits = c "page_hits";
+    page_misses = c "page_misses";
+    page_waits = c "page_waits";
+    page_reclaims = c "page_reclaims";
+    dcache_hits = c "dcache_hits";
+    dcache_misses = c "dcache_misses";
+    readahead_pages = c "readahead_pages";
+    wb_calls = c "wb_calls";
+    wb_pages = c "wb_pages";
+    wb_errors = c "wb_errors";
+    dirty_throttles = c "dirty_throttles";
+    cas_cow_breaks = c "cas_cow_breaks";
+    fsyncs = c "fsyncs";
+  }
+
 type t = {
   machine : Machine.t;
   ops : fs_ops;
@@ -204,6 +239,7 @@ type t = {
   mutable flusher_running : bool;
   mutable active : bool;
   stats : Sim.Stats.t;
+  ctr : counters;
   mutable ra_pending : int;  (** outstanding async readahead fibers *)
   mutable ra_enabled : bool;  (** ablation switch; on by default *)
   ra_issued : Sim.Stats.Counter.t;  (** pages prefetched (machine-wide) *)
@@ -224,7 +260,6 @@ let notify_modify t ino =
 let machine t = t.machine
 let ops t = t.ops
 let stats t = t.stats
-let incr ?by t name = Sim.Stats.Counter.incr ?by (Sim.Stats.counter t.stats name)
 
 let cost t = Machine.cost t.machine
 let cpu t ns = Machine.cpu_work t.machine ns
@@ -283,7 +318,7 @@ let iter_vnodes t f =
    below the cap (the kernel's page reclaim, radically simplified). *)
 let reclaim_pages t =
   if Pcpu.read t.total_pages > t.page_cap then begin
-    incr t "page_reclaims";
+    Sim.Stats.bump t.ctr.page_reclaims;
     let target = t.page_cap * 7 / 8 in
     iter_vnodes t
       (fun v ->
@@ -484,14 +519,14 @@ let writeback_vnode t v =
             runs
         in
         let issue pages =
-          incr t "wb_calls";
-          incr ~by:(Array.length pages) t "wb_pages";
+          Sim.Stats.bump t.ctr.wb_calls;
+          Sim.Stats.bump ~by:(Array.length pages) t.ctr.wb_pages;
           match t.ops.write_pages ~ino:v.v_ino ~isize:v.v_size pages with
           | Ok () -> ()
           | Error _ ->
               (* Keep going; the error is recorded like Linux does with
                  AS_EIO. *)
-              incr t "wb_errors"
+              Sim.Stats.bump t.ctr.wb_errors
         in
         match batches with
         | [] -> ()
@@ -526,7 +561,7 @@ let balance_dirty t v =
   sample_dirty t;
   if !debug_accounting then check_accounting t;
   if Pcpu.read t.total_dirty > t.dirty_limit then begin
-    incr t "dirty_throttles";
+    Sim.Stats.bump t.ctr.dirty_throttles;
     writeback_vnode t v
   end
 
@@ -586,6 +621,7 @@ let start_flusher t =
 
 let mount ?(dirty_limit = 48 * 256) ?(page_cap = 131072) ?(background = true)
     machine ops =
+  let stats = Sim.Stats.create () in
   let t =
     {
       machine;
@@ -601,7 +637,8 @@ let mount ?(dirty_limit = 48 * 256) ?(page_cap = 131072) ?(background = true)
       dirty_bg = dirty_limit / 2;
       flusher_running = false;
       active = true;
-      stats = Sim.Stats.create ();
+      stats;
+      ctr = counters stats;
       ra_pending = 0;
       ra_enabled = true;
       ra_issued = Machine.counter machine "readahead_issued";
@@ -661,7 +698,9 @@ let unmount t =
     Sim.Engine.sleep (Sim.Time.us 50)
   done;
   writeback_all t;
-  (match t.ops.sync_fs () with Ok () -> () | Error _ -> incr t "wb_errors");
+  (match t.ops.sync_fs () with
+  | Ok () -> ()
+  | Error _ -> Sim.Stats.bump t.ctr.wb_errors);
   Hashtbl.reset t.dcache
 
 (* ------------------------------------------------------------------ *)
@@ -681,7 +720,7 @@ let dcache_remove t ~dir name = Hashtbl.remove t.dcache (dir, name)
 let lookup t ~dir name : stat res =
   match dcache_lookup t ~dir name with
   | Some ino -> (
-      incr t "dcache_hits";
+      Sim.Stats.bump t.ctr.dcache_hits;
       match t.ops.getattr ino with
       | Ok _ as r -> r
       | Error _ ->
@@ -689,7 +728,7 @@ let lookup t ~dir name : stat res =
           dcache_remove t ~dir name;
           t.ops.lookup ~dir name)
   | None -> (
-      incr t "dcache_misses";
+      Sim.Stats.bump t.ctr.dcache_misses;
       match t.ops.lookup ~dir name with
       | Ok st ->
           dcache_insert t ~dir name st.st_ino;
@@ -703,7 +742,7 @@ let rec page_of t v index : (page, Errno.t) result =
   cpu t (cost t).Cost.page_lookup;
   match Hashtbl.find_opt v.v_pages index with
   | Some p ->
-      incr t "page_hits";
+      Sim.Stats.bump t.ctr.page_hits;
       if p.pra then begin
         p.pra <- false;
         Sim.Stats.Counter.incr t.ra_hit
@@ -714,7 +753,7 @@ let rec page_of t v index : (page, Errno.t) result =
          (the page-lock wait in Linux) rather than issue a duplicate
          device read. If the prefetch fails it clears the in-flight mark
          without inserting, and the retry faults the page in itself. *)
-      incr t "page_waits";
+      Sim.Stats.bump t.ctr.page_waits;
       while Hashtbl.mem v.v_ra_inflight index do
         Sim.Engine.sleep (Sim.Time.us 5)
       done;
@@ -723,7 +762,7 @@ let rec page_of t v index : (page, Errno.t) result =
       match cas_alias t v index with
       | Some r -> r
       | None -> (
-          incr t "page_misses";
+          Sim.Stats.bump t.ctr.page_misses;
           Sim.Trace.instant (tracer t) ~cat:"vfs" "vfs:page_miss";
           match t.ops.readpage ~ino:v.v_ino ~index with
           | Ok data -> (
@@ -841,7 +880,7 @@ let maybe_readahead t v ~first ~last =
             let start = List.hd run and count = List.length run in
             List.iter (fun i -> Hashtbl.replace v.v_ra_inflight i ()) run;
             Sim.Stats.Counter.incr ~by:count t.ra_issued;
-            incr ~by:count t "readahead_pages";
+            Sim.Stats.bump ~by:count t.ctr.readahead_pages;
             t.ra_pending <- t.ra_pending + 1;
             Machine.spawn ~name:"readahead" t.machine (fun () ->
                 Fun.protect
@@ -953,7 +992,7 @@ let privatize t v (c : cas_ops) : unit res =
       | Error _ as e -> e
       | Ok () ->
           c.cas_cow v.v_ino;
-          incr t "cas_cow_breaks";
+          Sim.Stats.bump t.ctr.cas_cow_breaks;
           Ok ())
 
 (* Break the share before any mutation of a CAS-bound file. Must run
@@ -1011,7 +1050,7 @@ let write t v ~pos data : int res =
 (** fsync: push this file's dirty pages into the fs, then ask the fs to
     make them durable. *)
 let fsync t v : unit res =
-  incr t "fsyncs";
+  Sim.Stats.bump t.ctr.fsyncs;
   Machine.with_layer t.machine "vfs" @@ fun () ->
   Sim.Trace.with_span (tracer t) ~cat:"vfs" "vfs:fsync" (fun () ->
       let t0 = Machine.now t.machine in

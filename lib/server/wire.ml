@@ -9,9 +9,11 @@
 
 type net = {
   machine : Kernel.Machine.t;
-  stats : Sim.Stats.t;
   crossings : Sim.Stats.Counter.t;
       (** machine-wide count of wire crossings, one per message *)
+  connects : Sim.Stats.Counter.t Lazy.t;
+  requests : Sim.Stats.Counter.t Lazy.t;
+  replies : Sim.Stats.Counter.t Lazy.t;
 }
 
 type conn = {
@@ -33,14 +35,15 @@ let listen machine =
     l_net =
       {
         machine;
-        stats;
         crossings = Kernel.Machine.counter machine "server_crossings";
+        connects = Sim.Stats.lazy_counter stats "connects";
+        requests = Sim.Stats.lazy_counter stats "requests";
+        replies = Sim.Stats.lazy_counter stats "replies";
       };
     backlog = Sim.Sync.Channel.create ();
   }
 
 let machine t = t.net.machine
-let incr_stat t name = Sim.Stats.Counter.incr (Sim.Stats.counter t.stats name)
 
 let charge t nbytes =
   let c = Kernel.Machine.cost t.machine in
@@ -60,7 +63,7 @@ let connect (l : listener) : conn =
       conn_closed = false;
     }
   in
-  incr_stat l.l_net "connects";
+  Sim.Stats.bump l.l_net.connects;
   (match Sim.Sync.Channel.send l.backlog conn with
   | () -> ()
   | exception Sim.Sync.Channel.Closed -> raise Connection_closed);
@@ -74,7 +77,7 @@ let close_listener (l : listener) = Sim.Sync.Channel.close l.backlog
 
 let send_request (c : conn) (msg : Bytes.t) =
   if c.conn_closed then raise Connection_closed;
-  incr_stat c.net "requests";
+  Sim.Stats.bump c.net.requests;
   charge c.net (Bytes.length msg);
   match Sim.Sync.Channel.send c.c2s msg with
   | () -> ()
@@ -83,7 +86,7 @@ let send_request (c : conn) (msg : Bytes.t) =
 let recv_request (c : conn) : Bytes.t option = Sim.Sync.Channel.recv_opt c.c2s
 
 let send_smsg (c : conn) (msg : Bytes.t) =
-  incr_stat c.net "replies";
+  Sim.Stats.bump c.net.replies;
   charge c.net (Bytes.length msg);
   match Sim.Sync.Channel.send c.s2c msg with
   | () -> ()

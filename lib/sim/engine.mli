@@ -4,7 +4,14 @@
     Fibers are plain OCaml functions executed under an effect handler; they
     block by performing effects ([sleep], [suspend]) and the engine resumes
     them from a virtual-time event queue. Event order is total — (time,
-    insertion sequence) — so simulations are deterministic and replayable. *)
+    insertion sequence) — so simulations are deterministic and replayable.
+
+    Events due at the current instant (spawns, wake-ups, yields) wait in a
+    FIFO ready queue, later ones in a heap. An event still in the heap
+    when the clock reaches its time was scheduled before every entry of
+    the ready queue, so it runs first; the ready queue itself is in
+    insertion order. The two together run events in exactly (time,
+    sequence) order. *)
 
 type t
 (** An engine instance: virtual clock + event queue + fiber bookkeeping. *)
@@ -24,8 +31,13 @@ val create : unit -> t
 val now : t -> int64
 (** Current virtual time in nanoseconds. *)
 
-val set_trace : t -> bool -> unit
-(** Enable coarse event-count tracing to stderr (debugging aid). *)
+val events_dispatched : t -> int
+(** Events run so far, from the event heap and the ready queue together.
+    A {!sleep} that advanced the clock in place is not one. *)
+
+val in_place_advances : t -> int
+(** Sleeps so far that advanced the clock in place (see {!sleep}); each
+    would have been one more event through the queue. *)
 
 val current_fid : t -> int
 (** Id of the currently running fiber, or -1 outside fiber context. Used by
@@ -77,8 +89,6 @@ val next_req_id : t -> int64
 val schedule_at : t -> int64 -> (unit -> unit) -> unit
 (** Run a callback at an absolute virtual time (>= [now t]). *)
 
-val schedule_after : t -> int64 -> (unit -> unit) -> unit
-
 val spawn : ?name:string -> t -> (unit -> unit) -> fiber
 (** Start a new fiber at the current virtual time. The [name] appears in
     failure and deadlock reports. *)
@@ -94,7 +104,18 @@ val run_until : t -> int64 -> unit
 (** {1 Operations available inside a fiber} *)
 
 val sleep : int64 -> unit
-(** Suspend the calling fiber for a duration of virtual time. *)
+(** Suspend the calling fiber for a duration of virtual time.
+
+    When the wake-up would be the very next event anyway, the clock
+    advances in place and the fiber carries on without a trip through the
+    queue. That is the case when the wake-up time is no later than the
+    deadline of the {!run}/{!run_until} in progress, no event is due at
+    the current instant, and every queued event is strictly later than
+    the wake-up. Each queued event then runs after the wake-up either
+    way, and nothing else could run in between, so the event order —
+    (time, insertion sequence) — is the same as through the queue. The
+    advance hook is called with the sleeper's fid, as for a queued
+    wake-up. *)
 
 val yield : unit -> unit
 (** Reschedule the calling fiber behind events at the current instant. *)
@@ -105,7 +126,10 @@ val suspend : ((unit -> unit) -> unit) -> unit
     waking moment. The building block of all synchronisation primitives. *)
 
 val self_engine : unit -> t
-(** The engine running the calling fiber. *)
+(** The engine running the calling fiber: the engine of the innermost
+    {!run}/{!run_until} in progress, read without performing an effect.
+    Outside every run it performs an effect no handler catches, so it
+    raises [Effect.Unhandled]. *)
 
 val now_here : unit -> int64
 (** [now] of the calling fiber's engine. *)

@@ -3,14 +3,16 @@
     per-op statistics. *)
 
 module Counter = struct
-  type t = { name : string; mutable value : int64 }
+  (* A native int (63 bits on a 64-bit host), so a bump allocates
+     nothing. *)
+  type t = { name : string; mutable value : int }
 
-  let create name = { name; value = 0L }
-  let incr ?(by = 1) t = t.value <- Int64.add t.value (Int64.of_int by)
-  let add64 t v = t.value <- Int64.add t.value v
-  let get t = t.value
-  let get_int t = Int64.to_int t.value
-  let reset t = t.value <- 0L
+  let create name = { name; value = 0 }
+  let incr ?(by = 1) t = t.value <- t.value + by
+  let add64 t v = t.value <- t.value + Int64.to_int v
+  let get t = Int64.of_int t.value
+  let get_int t = t.value
+  let reset t = t.value <- 0
   let name t = t.name
 end
 
@@ -186,6 +188,9 @@ let counter t name =
       let c = Counter.create name in
       Hashtbl.add t.counters name c;
       c
+
+let lazy_counter t name = lazy (counter t name)
+let bump ?by c = Counter.incr ?by (Lazy.force c)
 
 let latency t name =
   match Hashtbl.find_opt t.latencies name with

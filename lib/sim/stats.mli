@@ -67,6 +67,15 @@ val create : unit -> t
 val counter : t -> string -> Counter.t
 (** Find-or-create. *)
 
+val lazy_counter : t -> string -> Counter.t Lazy.t
+(** A handle to [counter t name] that is resolved once, when first
+    forced. Hot paths hold one in their records instead of hashing the
+    name on every increment; the counter still appears in the registry
+    only once it is first bumped. *)
+
+val bump : ?by:int -> Counter.t Lazy.t -> unit
+(** [Counter.incr] through a {!lazy_counter} handle. *)
+
 val latency : t -> string -> Latency.t
 val histogram : t -> string -> Histogram.t
 

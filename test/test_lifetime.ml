@@ -1,6 +1,7 @@
 (** Object lifetimes: a machine, with everything mounted on it, must be
-    collectable once the caller drops it; per-engine diagnostics must stay
-    per engine; and the device's shared zero block must survive every
+    collectable once the caller drops it; a finished run must not keep a
+    handle on its engine; per-engine diagnostics must stay per engine;
+    and the device's shared zero block must survive every
     stack's traffic and the crash checker unmodified. *)
 
 open Helpers
@@ -105,6 +106,39 @@ let test_gauge_counts_live () =
   | _ -> Alcotest.fail "inspect did not return an object");
   ignore (Sys.opaque_identity m)
 
+(* Run a fiber that sleeps and then returns or raises, and keep only weak
+   pointers to the machine and its engine. *)
+let[@inline never] finished_run ~fail =
+  let machine = Kernel.Machine.create ~disk_blocks:16 ~block_size:4096 () in
+  Kernel.Machine.spawn ~name:"short" machine (fun () ->
+      Sim.Engine.sleep 1_000L;
+      if fail then failwith "boom");
+  (match Kernel.Machine.run_until machine 10_000L with
+  | () -> if fail then Alcotest.fail "expected Fiber_failure"
+  | exception Sim.Engine.Fiber_failure ("short", Failure _) when fail -> ());
+  let probe = Weak.create 2 in
+  Weak.set probe 0 (Some (Obj.repr machine));
+  Weak.set probe 1 (Some (Obj.repr (Kernel.Machine.engine machine)));
+  probe
+
+(* [run_until] hands its fibers the engine directly; once it returns,
+   normally or by raising, that handle is gone again. *)
+let test_engine_handle_released ~fail () =
+  Gc.full_major ();
+  let live_before = Kernel.Machine.machines_live () in
+  let probe = finished_run ~fail in
+  Alcotest.(check bool)
+    "self_engine outside the run raises" true
+    (match Sim.Engine.self_engine () with
+    | _ -> false
+    | exception Effect.Unhandled _ -> true);
+  Gc.full_major ();
+  Alcotest.(check bool) "engine collected" false (Weak.check probe 1);
+  Alcotest.(check bool) "machine collected" false (Weak.check probe 0);
+  Alcotest.(check int)
+    "machines_live back to its start" live_before
+    (Kernel.Machine.machines_live ())
+
 (* Fibers are numbered per engine, so engine B's fiber #1 and a blocked
    fiber #0 of engine A are different fibers: B's report must name only
    its own. *)
@@ -151,6 +185,10 @@ let suite =
     stacks
   @ [
       tc "machines_live gauge" `Quick test_gauge_counts_live;
+      tc "engine handle released after run_until" `Quick
+        (test_engine_handle_released ~fail:false);
+      tc "engine handle released after Fiber_failure" `Quick
+        (test_engine_handle_released ~fail:true);
       tc "deadlock report per engine" `Quick test_deadlock_report_per_engine;
       tc "zero block intact under crash checker" `Quick
         test_zero_block_under_checker;

@@ -264,8 +264,9 @@ let test_channel_close_drains_then_none () =
     [ Some 1; Some 2; None ]
     (List.rev !log)
 
-(* The popped-payload space leak: after pop, the heap's backing array must
-   not keep the payload reachable. A weak pointer observes collection. *)
+(* The popped-closure space leak: after pop, the heap's backing array must
+   not keep the event's closure (and what it captures) reachable. A weak
+   pointer observes collection. *)
 let payload_witness : Obj.t Weak.t = Weak.create 1
 
 let[@inline never] heap_push_pop_cycle () =
@@ -274,10 +275,9 @@ let[@inline never] heap_push_pop_cycle () =
   let h = Sim.Heap.create () in
   let payload = Bytes.make 4096 'p' in
   Weak.set payload_witness 0 (Some (Obj.repr payload));
-  Sim.Heap.push h ~time:5L ~seq:1 payload;
-  (match Sim.Heap.pop h with
-  | Some e -> assert (e.Sim.Heap.payload == payload)
-  | None -> assert false);
+  let run () = ignore (Sys.opaque_identity payload) in
+  Sim.Heap.push h ~time:5L ~seq:1 ~owner:(-1) run;
+  assert ((Sim.Heap.pop h).Sim.Heap.run == run);
   h
 
 let test_heap_pop_clears_slot () =
@@ -287,13 +287,13 @@ let test_heap_pop_clears_slot () =
   | None -> ()
   | Some _ -> Alcotest.fail "popped payload still reachable from the heap");
   (* the heap itself is still usable *)
-  Sim.Heap.push h ~time:1L ~seq:2 (Bytes.create 1);
+  Sim.Heap.push h ~time:1L ~seq:2 ~owner:(-1) ignore;
   Alcotest.(check int) "heap usable after clearing" 1 (Sim.Heap.length h)
 
 let test_heap_shrinks_after_drain () =
   let h = Sim.Heap.create () in
   for i = 0 to 999 do
-    Sim.Heap.push h ~time:(Int64.of_int (i * 31 mod 1009)) ~seq:i i
+    Sim.Heap.push h ~time:(Int64.of_int (i * 31 mod 1009)) ~seq:i ~owner:i ignore
   done;
   let cap_full = Sim.Heap.capacity h in
   Alcotest.(check bool) "grew to hold 1000" true (cap_full >= 1000);
@@ -305,34 +305,290 @@ let test_heap_shrinks_after_drain () =
     (Sim.Heap.capacity h < cap_full / 8);
   (* remaining entries still drain in order *)
   let last = ref Int64.min_int in
-  let rec drain () =
-    match Sim.Heap.pop h with
-    | None -> ()
-    | Some e ->
-        Alcotest.(check bool) "ordered" true (Int64.compare !last e.Sim.Heap.time <= 0);
-        last := e.Sim.Heap.time;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h)
+  while not (Sim.Heap.is_empty h) do
+    let e = Sim.Heap.pop h in
+    Alcotest.(check bool) "ordered" true (Int64.compare !last e.Sim.Heap.time <= 0);
+    last := e.Sim.Heap.time
+  done
 
-(* Property: the heap pops in nondecreasing (time, seq) order. *)
+(* Property: the heap pops in increasing (time, seq) order. *)
 let prop_heap_ordering =
   QCheck.Test.make ~count:200 ~name:"heap pops in order"
     QCheck.(list (int_bound 10_000))
     (fun times ->
       let h = Sim.Heap.create () in
       List.iteri
-        (fun i t -> Sim.Heap.push h ~time:(Int64.of_int t) ~seq:i ())
+        (fun i t -> Sim.Heap.push h ~time:(Int64.of_int t) ~seq:i ~owner:i ignore)
         times;
-      let rec drain last ok =
-        match Sim.Heap.pop h with
-        | None -> ok
-        | Some e ->
-            let t = e.Sim.Heap.time in
-            drain t (ok && Int64.compare last t <= 0)
+      let ok = ref true and last = ref (Int64.min_int, -1) in
+      while not (Sim.Heap.is_empty h) do
+        let e = Sim.Heap.pop h in
+        let key = (e.Sim.Heap.time, e.Sim.Heap.seq) in
+        ok := !ok && compare !last key < 0;
+        last := key
+      done;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
+(* The engine's dispatch order against a reference (time, seq) scheduler *)
+
+(* A fiber script. [Lock] is always followed by a [Sleep] and an
+   [Unlock], so no fiber blocks while holding the mutex. *)
+type op =
+  | Sleep of int  (** [Engine.sleep]; 0 is a no-op *)
+  | Yield
+  | Spawn of op list
+  | Read of int  (** read ivar i, blocking until it is filled *)
+  | Fill of int  (** fill ivar i unless already full *)
+  | Lock
+  | Unlock
+  | Callback of int  (** [schedule_at] a callback this far ahead *)
+
+let n_ivars = 3
+
+let rec pp_op = function
+  | Sleep d -> Printf.sprintf "Sleep %d" d
+  | Yield -> "Yield"
+  | Spawn ops -> "Spawn [" ^ String.concat "; " (List.map pp_op ops) ^ "]"
+  | Read i -> Printf.sprintf "Read %d" i
+  | Fill i -> Printf.sprintf "Fill %d" i
+  | Lock -> "Lock"
+  | Unlock -> "Unlock"
+  | Callback d -> Printf.sprintf "Callback %d" d
+
+(* Wake-up times come from a handful of small delays, so many collide. *)
+let rec gen_ops depth =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (4, map (fun d -> [ Sleep d ]) (int_bound 4));
+        (1, return [ Yield ]);
+        (2, map (fun i -> [ Read i ]) (int_bound (n_ivars - 1)));
+        (2, map (fun i -> [ Fill i ]) (int_bound (n_ivars - 1)));
+        (2, map (fun d -> [ Lock; Sleep d; Unlock ]) (int_bound 3));
+        (1, map (fun d -> [ Callback d ]) (int_bound 4));
+      ]
+  in
+  let one =
+    if depth = 0 then leaf
+    else frequency [ (6, leaf); (1, map (fun s -> [ Spawn s ]) (gen_ops (depth - 1))) ]
+  in
+  map List.concat (list_size (int_range 1 6) one)
+
+(* Root scripts, and the lengths of the [run_until] slices that drive
+   them (0 re-runs the current instant). *)
+let arb_program =
+  QCheck.make
+    ~print:(fun (roots, slices) ->
+      Printf.sprintf "roots: %s\nslices: %s"
+        (String.concat "\n  "
+           (List.map (fun ops -> "[" ^ String.concat "; " (List.map pp_op ops) ^ "]") roots))
+        (String.concat " " (List.map string_of_int slices)))
+    QCheck.Gen.(
+      pair (list_size (int_range 1 5) (gen_ops 2)) (list_size (int_range 1 8) (int_bound 6)))
+
+(* What both schedulers log: (fiber or -1 - callback, step, time). A
+   fiber logs each step as it starts it and its exit as step [length]. *)
+type entry = int * int * int64
+
+(* The reference: events in a list sorted by (time, seq), fibers as
+   scripts with a program counter — no effects, no fast paths. Returns
+   the log and how many events it ran. *)
+let reference roots slices =
+  let now = ref 0L and seq = ref 0 and events = ref [] and ran = ref 0 in
+  let log = ref [] and next_fiber = ref 0 and next_cb = ref 0 in
+  let full = Array.make n_ivars false in
+  let readers = Array.init n_ivars (fun _ -> Queue.create ()) in
+  let locked = ref false and lockers = Queue.create () in
+  let schedule time ev =
+    incr seq;
+    let key = (time, !seq) in
+    let rec ins = function
+      | (k, _) as x :: rest when compare k key < 0 -> x :: ins rest
+      | l -> (key, ev) :: l
+    in
+    events := ins !events
+  in
+  let rec spawn ops =
+    let id = !next_fiber in
+    incr next_fiber;
+    let ops = Array.of_list ops and pc = ref 0 in
+    let rec resume () =
+      if !pc >= Array.length ops then log := (id, !pc, !now) :: !log
+      else begin
+        let op = ops.(!pc) in
+        log := (id, !pc, !now) :: !log;
+        incr pc;
+        match op with
+        | Sleep 0 -> resume ()
+        | Sleep d -> schedule (Int64.add !now (Int64.of_int d)) resume
+        | Yield -> schedule !now resume
+        | Spawn child ->
+            spawn child;
+            resume ()
+        | Read i -> if full.(i) then resume () else Queue.push resume readers.(i)
+        | Fill i ->
+            if not full.(i) then begin
+              full.(i) <- true;
+              Queue.iter (fun w -> schedule !now w) readers.(i);
+              Queue.clear readers.(i)
+            end;
+            resume ()
+        | Lock ->
+            if !locked then Queue.push resume lockers
+            else begin
+              locked := true;
+              resume ()
+            end
+        | Unlock ->
+            (match Queue.take_opt lockers with
+            | Some w -> schedule !now w
+            | None -> locked := false);
+            resume ()
+        | Callback d ->
+            let cb = !next_cb in
+            incr next_cb;
+            let time = Int64.add !now (Int64.of_int d) in
+            schedule time (fun () -> log := (-1 - cb, 0, !now) :: !log);
+            resume ()
+      end
+    in
+    schedule !now resume
+  in
+  List.iter spawn roots;
+  let deadline = ref 0L in
+  List.iter
+    (fun slice ->
+      deadline := Int64.add !deadline (Int64.of_int slice);
+      let rec go () =
+        match !events with
+        | ((time, _), ev) :: rest when Int64.compare time !deadline <= 0 ->
+            events := rest;
+            now := time;
+            incr ran;
+            ev ();
+            go ()
+        | _ -> ()
       in
-      drain Int64.min_int true)
+      go ();
+      if Int64.compare !now !deadline < 0 then now := !deadline)
+    slices;
+  (List.rev !log, !ran)
+
+(* The same program on the engine, with the [Sync] primitives. *)
+let on_engine roots slices =
+  let e = Sim.Engine.create () in
+  let log = ref [] and next_fiber = ref 0 and next_cb = ref 0 in
+  let ivars = Array.init n_ivars (fun _ -> Sim.Sync.Ivar.create ()) in
+  let m = Sim.Sync.Mutex.create () in
+  let rec spawn ops =
+    let id = !next_fiber in
+    incr next_fiber;
+    ignore
+      (Sim.Engine.spawn e (fun () ->
+           List.iteri
+             (fun pc op ->
+               log := (id, pc, Sim.Engine.now e) :: !log;
+               match op with
+               | Sleep d -> Sim.Engine.sleep (Int64.of_int d)
+               | Yield -> Sim.Engine.yield ()
+               | Spawn child -> spawn child
+               | Read i -> Sim.Sync.Ivar.read ivars.(i)
+               | Fill i ->
+                   if not (Sim.Sync.Ivar.is_full ivars.(i)) then
+                     Sim.Sync.Ivar.fill ivars.(i) ()
+               | Lock -> Sim.Sync.Mutex.lock m
+               | Unlock -> Sim.Sync.Mutex.unlock m
+               | Callback d ->
+                   let cb = !next_cb in
+                   incr next_cb;
+                   Sim.Engine.schedule_at e
+                     (Int64.add (Sim.Engine.now e) (Int64.of_int d))
+                     (fun () -> log := (-1 - cb, 0, Sim.Engine.now e) :: !log))
+             ops;
+           log := (id, List.length ops, Sim.Engine.now e) :: !log))
+  in
+  List.iter spawn roots;
+  let deadline = ref 0L in
+  List.iter
+    (fun slice ->
+      deadline := Int64.add !deadline (Int64.of_int slice);
+      Sim.Engine.run_until e !deadline)
+    slices;
+  ( List.rev !log,
+    Sim.Engine.events_dispatched e + Sim.Engine.in_place_advances e )
+
+let prop_dispatch_order =
+  QCheck.Test.make ~count:500 ~name:"engine dispatch order = (time, seq) reference"
+    arb_program (fun (roots, slices) ->
+      let expected, ran = reference roots slices in
+      let got, events = on_engine roots slices in
+      if got <> expected then
+        QCheck.Test.fail_reportf "log differs:\nexpected %s\ngot      %s"
+          (String.concat " " (List.map (fun (f, pc, t) -> Printf.sprintf "%d.%d@%Ld" f pc t) expected))
+          (String.concat " " (List.map (fun (f, pc, t) -> Printf.sprintf "%d.%d@%Ld" f pc t) got));
+      (* every in-place advance stands for exactly one queued event *)
+      if events <> ran then
+        QCheck.Test.fail_reportf "engine ran %d events + in-place advances, reference %d"
+          events ran;
+      true)
+
+(* A sleep ending exactly at a pending event's time is queued behind it,
+   not advanced in place. *)
+let test_sleep_ties_pending_event () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  ignore
+    (Sim.Engine.spawn ~name:"a" e (fun () ->
+         Sim.Engine.sleep 10L;
+         log := ("a", Sim.Engine.now e) :: !log));
+  ignore
+    (Sim.Engine.spawn ~name:"b" e (fun () ->
+         Sim.Engine.sleep 5L;
+         log := ("b5", Sim.Engine.now e) :: !log;
+         Sim.Engine.sleep 5L;
+         log := ("b10", Sim.Engine.now e) :: !log));
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair string int64)))
+    "a's earlier-queued event at t=10 runs first"
+    [ ("b5", 5L); ("a", 10L); ("b10", 10L) ]
+    (List.rev !log);
+  Alcotest.(check int) "only b's first sleep advanced in place" 1
+    (Sim.Engine.in_place_advances e)
+
+(* A sleep past the [run_until] deadline leaves the clock at the deadline
+   and the sleeper queued, even with nothing else pending. *)
+let test_sleep_crosses_deadline () =
+  let e = Sim.Engine.create () in
+  let woke = ref None in
+  ignore
+    (Sim.Engine.spawn e (fun () ->
+         Sim.Engine.sleep 100L;
+         woke := Some (Sim.Engine.now e)));
+  Sim.Engine.run_until e 50L;
+  Alcotest.(check int64) "clock stops at the deadline" 50L (Sim.Engine.now e);
+  Alcotest.(check (option int64)) "sleeper still asleep" None !woke;
+  Sim.Engine.run_until e 150L;
+  Alcotest.(check (option int64)) "woke at its own time" (Some 100L) !woke;
+  Alcotest.(check int64) "then padded to the deadline" 150L (Sim.Engine.now e)
+
+let raises_unhandled f =
+  match f () with _ -> false | exception Effect.Unhandled _ -> true
+
+let test_self_engine_outside_run () =
+  Alcotest.(check bool) "before any run" true
+    (raises_unhandled Sim.Engine.self_engine);
+  let e = Sim.Engine.create () in
+  let inside = ref None in
+  ignore (Sim.Engine.spawn e (fun () -> inside := Some (Sim.Engine.self_engine ())));
+  Sim.Engine.run e;
+  Alcotest.(check bool) "inside a fiber: its engine" true
+    (match !inside with Some x -> x == e | None -> false);
+  Alcotest.(check bool) "after the run" true
+    (raises_unhandled Sim.Engine.self_engine);
+  Alcotest.(check bool) "sleep outside a run" true
+    (raises_unhandled (fun () -> Sim.Engine.sleep 1L))
 
 let suite =
   [
@@ -354,4 +610,11 @@ let suite =
     tc "ivar" `Quick test_ivar;
     tc "run_until" `Quick test_run_until;
     QCheck_alcotest.to_alcotest prop_heap_ordering;
+    QCheck_alcotest.to_alcotest prop_dispatch_order;
+    tc "sleep tying a pending event queues behind it" `Quick
+      test_sleep_ties_pending_event;
+    tc "sleep crossing a run_until deadline stops there" `Quick
+      test_sleep_crosses_deadline;
+    tc "self_engine outside a run raises Unhandled" `Quick
+      test_self_engine_outside_run;
   ]
